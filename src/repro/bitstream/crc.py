@@ -511,6 +511,23 @@ class ConfigCrc:
         self._crc = crc ^ 0xFFFFFFFF
         self.words_folded += count
 
+    def update_run_uncached(self, register_addr: int, words) -> None:
+        """:meth:`update_run` for content that will not repeat.
+
+        One tight fold, bypassing the content cache: a corrupted stream's
+        payload runs never recur, and caching their blocks would only
+        evict the FDRI blocks that clean transfers hit.  ``words`` must
+        already be 32-bit values.
+        """
+        if not 0 <= register_addr < 32:
+            raise ValueError(f"register address {register_addr} out of range")
+        if not words:
+            return
+        self._flush_run()
+        raw = _fold_run_raw(self._crc ^ 0xFFFFFFFF, register_addr, words)
+        self._crc = raw ^ 0xFFFFFFFF
+        self.words_folded += len(words)
+
     def _apply_run_block(self, raw: int, register_addr: int, block: bytes) -> int:
         """Fold one packed run block via its content-cached constant."""
         key = (register_addr, block)

@@ -12,7 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from .far import BLOCK_TYPE_MAIN, FrameAddress
+from .far import (
+    _BT_MASK,
+    _BT_SHIFT,
+    _COL_MASK,
+    _COL_SHIFT,
+    _MINOR_MASK,
+    _ROW_MASK,
+    _ROW_SHIFT,
+    _TOP_MASK,
+    _TOP_SHIFT,
+    BLOCK_TYPE_MAIN,
+    FrameAddress,
+)
 
 __all__ = [
     "FRAME_WORDS",
@@ -143,6 +155,31 @@ class DeviceLayout:
             + far.row * self.frames_per_row
             + self._col_base[far.column]
             + far.minor
+        )
+
+    def frame_index_of_word(self, word: int) -> int:
+        """:meth:`frame_index` of a raw 32-bit FAR word, or -1 when the
+        word addresses no mapped frame (where :meth:`frame_index` raises).
+
+        The configuration port's bulk FAR path: no :class:`FrameAddress`
+        is built per word.
+        """
+        if (word >> _BT_SHIFT) & _BT_MASK != BLOCK_TYPE_MAIN:
+            return -1
+        row = (word >> _ROW_SHIFT) & _ROW_MASK
+        column = (word >> _COL_SHIFT) & _COL_MASK
+        minor = word & _MINOR_MASK
+        if (
+            row >= self.rows
+            or column >= len(self._column_minors)
+            or minor >= self._column_minors[column]
+        ):
+            return -1
+        top = (word >> _TOP_SHIFT) & _TOP_MASK
+        return (
+            (top * self.rows + row) * self._frames_per_row
+            + self._col_base[column]
+            + minor
         )
 
     def frame_address(self, index: int) -> FrameAddress:

@@ -5,10 +5,12 @@ documents at the repo root (sweeps, chaos, fleet, dram).  This module
 re-runs small fresh probes of the same workloads and diffs them against
 those baselines:
 
-* **simulation metrics** (per-point events, latency, availability,
-  recovery rate, MTTR percentiles) are products of the deterministic
-  kernel, so they gate with a *tight* tolerance — a regression here is a
-  real behaviour change, not noise;
+* **simulation metrics** (latency, availability, recovery rate, MTTR
+  percentiles) are products of the deterministic kernel, so they gate
+  with a *tight* tolerance — a regression here is a real behaviour
+  change, not noise;
+* **deterministic counts** (per-point and per-campaign kernel events)
+  gate for exact equality: any drift, either way, needs a re-baseline;
 * **wall-clock** is advisory by default (a 1-core CI container is far
   too noisy to gate on) and only gates when the caller passes an
   explicit ``wall_tolerance``.
@@ -69,7 +71,8 @@ class Check:
     fresh: float
     tolerance: float
     #: Which direction is a regression: ``"higher"`` (latency, MTTR,
-    #: events, wall) or ``"lower"`` (availability, recovery rate).
+    #: wall), ``"lower"`` (availability, recovery rate) or ``"changed"``
+    #: (deterministic counts such as kernel events: any drift either way).
     worse: str = "higher"
     #: Advisory checks are reported but never fail the gate.
     advisory: bool = False
@@ -79,6 +82,8 @@ class Check:
         """Signed fractional change in the worse direction."""
         scale = max(abs(self.baseline), 1e-12)
         change = (self.fresh - self.baseline) / scale
+        if self.worse == "changed":
+            return abs(change)
         return change if self.worse == "higher" else -change
 
     @property
@@ -89,10 +94,15 @@ class Check:
         verdict = "REGRESSED" if self.regressed else (
             "advisory" if self.advisory else "ok"
         )
+        if self.worse == "changed":
+            change = f"{self.fresh - self.baseline:+g}, exact"
+        else:
+            change = (
+                f"{self.delta:+.1%} worse-direction, tol {self.tolerance:.1%}"
+            )
         return (
             f"{self.suite}.{self.metric}: baseline {self.baseline:g}, "
-            f"fresh {self.fresh:g} ({self.delta:+.1%} worse-direction, "
-            f"tol {self.tolerance:.1%}) [{verdict}]"
+            f"fresh {self.fresh:g} ({change}) [{verdict}]"
         )
 
 
@@ -302,7 +312,7 @@ def _scaled(value: float, worse: str, inject_scale: float) -> float:
     """Apply the self-test distortion in the metric's worse direction."""
     if inject_scale == 1.0:
         return value
-    return value * inject_scale if worse == "higher" else value / inject_scale
+    return value / inject_scale if worse == "lower" else value * inject_scale
 
 
 def _check(
@@ -345,6 +355,26 @@ def _check(
     )
 
 
+def _check_count(
+    checks: List[Check],
+    suite: str,
+    metric: str,
+    baseline: Optional[float],
+    fresh: Optional[float],
+    inject_scale: float,
+    skipped: Optional[List[str]],
+) -> None:
+    """Gate a deterministic count (kernel events) for exact equality.
+
+    The simulation is deterministic, so any drift either way is a
+    behaviour change that needs a re-baseline, not noise to absorb.
+    """
+    _check(
+        checks, suite, metric, baseline, fresh, tolerance=0.0,
+        worse="changed", inject_scale=inject_scale, skipped=skipped,
+    )
+
+
 def _compare_sweeps(
     baseline: Mapping[str, Any],
     fresh: Mapping[str, Any],
@@ -360,11 +390,10 @@ def _compare_sweeps(
     }
     for label, fresh_point in sorted(fresh["points"].items()):
         base_point = base_points.get(label, {})
-        _check(
+        _check_count(
             checks, "sweeps", f"{label}.events",
             base_point.get("events"), fresh_point.get("events"),
-            tolerance, worse="higher", inject_scale=inject_scale,
-            skipped=skipped,
+            inject_scale, skipped,
         )
         _check(
             checks, "sweeps", f"{label}.latency_us",
@@ -433,7 +462,6 @@ def _compare_chaos(
         ("mttr_p50_us", mttr.get("p50"), "higher"),
         ("mttr_p99_us", mttr.get("p99"), "higher"),
         ("faults_recovered", faults.get("recovered"), "lower"),
-        ("kernel_events", baseline.get("kernel_events"), "higher"),
     ]
     for metric, base_value, worse in spec:
         _check(
@@ -441,6 +469,10 @@ def _compare_chaos(
             tolerance, worse=worse, inject_scale=inject_scale,
             skipped=skipped,
         )
+    _check_count(
+        checks, "chaos", "kernel_events", baseline.get("kernel_events"),
+        fresh.get("kernel_events"), inject_scale, skipped,
+    )
     _check(
         checks, "chaos", "wall_s",
         baseline.get("soak_wall_s"), fresh.get("wall_s"),
@@ -554,7 +586,6 @@ def _compare_dram(
         ("open_row_hit_rate", "lower"),
         ("contention_slowdown", "higher"),
         ("open_vs_closed_ratio", "lower"),
-        ("kernel_events", "higher"),
     ]
     for metric, worse in spec:
         _check(
@@ -562,6 +593,10 @@ def _compare_dram(
             tolerance, worse=worse, inject_scale=inject_scale,
             skipped=skipped,
         )
+    _check_count(
+        checks, "dram", "kernel_events", summary.get("kernel_events"),
+        fresh.get("kernel_events"), inject_scale, skipped,
+    )
     _check(
         checks, "dram", "wall_s",
         baseline.get("dram_wall_s"), fresh.get("wall_s"),

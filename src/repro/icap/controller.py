@@ -13,6 +13,7 @@ their CRC.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, List, Optional
 
 from ..axi.stream import AxiStream
@@ -144,9 +145,7 @@ class IcapController:
             if self.word_corruptor is not None:
                 original = words
                 words = self.word_corruptor(words)
-                self._m_corrupted.inc(
-                    sum(1 for a, b in zip(original, words) if a != b)
-                )
+                self._m_corrupted.inc(sum(map(operator.ne, original, words)))
             if self.monitor is not None:
                 self.monitor.on_icap_words(self, len(words))
             self.port.feed_words(words)

@@ -28,9 +28,19 @@ __all__ = ["ConfigPort"]
 
 _WORD_STRUCT = struct.Struct("<I")
 
+_CRC = int(ConfigRegister.CRC)
+_FAR = int(ConfigRegister.FAR)
+_FDRI = int(ConfigRegister.FDRI)
+_CMD = int(ConfigRegister.CMD)
+_IDCODE = int(ConfigRegister.IDCODE)
+
 
 class ConfigPort:
-    """Word-at-a-time configuration engine bound to a config memory."""
+    """Configuration engine bound to a config memory.
+
+    :meth:`feed_word` is the word-at-a-time reference; :meth:`feed_words`
+    is the bulk form every caller uses, identical word for word.
+    """
 
     def __init__(self, memory: ConfigMemory):
         self.memory = memory
@@ -101,36 +111,86 @@ class ConfigPort:
             self._payload_remaining = header.word_count
 
     def feed_words(self, words) -> None:
-        """Consume a word sequence, with a bulk fast path for FDRI data.
+        """Consume a word sequence (a list or tuple) in bulk.
 
-        Behaviour is identical to calling :meth:`feed_word` per word; the
-        fast path only kicks in while a large FDRI payload is being
-        streamed, which is >98 % of a partial bitstream.
+        Behaviour is word-for-word identical to calling :meth:`feed_word`
+        per word, which stays the reference.  Every stream state runs in
+        bulk: the pre-sync scan, and payload runs to FDRI, FAR, IDCODE
+        and every register without side effects.  Only packet headers
+        and CRC/CMD payload words — each of which can change the port
+        state — go through :meth:`feed_word`.
         """
         index = 0
         total = len(words)
-        fdri = int(ConfigRegister.FDRI)
         while index < total:
-            if (
-                self.synced
-                and self._payload_remaining > 1
-                and self._payload_register == fdri
-            ):
-                chunk_len = min(self._payload_remaining, total - index)
-                chunk = words[index : index + chunk_len]
+            if not self.synced:
+                index = self._skip_to_sync(words, index, total)
+                continue
+            remaining = self._payload_remaining
+            register = self._payload_register
+            if not remaining or register == _CRC or register == _CMD:
+                self.feed_word(words[index])
+                index += 1
+                continue
+            count = min(remaining, total - index)
+            chunk = words[index : index + count]
+            index += count
+            self._payload_remaining = remaining - count
+            self.words_consumed += count
+            if register == _FDRI:
                 try:
-                    packed = struct.pack(f"<{chunk_len}I", *chunk)
+                    packed = struct.pack(f"<{count}I", *chunk)
                 except struct.error:
                     chunk = [w & 0xFFFFFFFF for w in chunk]
-                    packed = struct.pack(f"<{chunk_len}I", *chunk)
-                self._payload_remaining -= chunk_len
-                self.words_consumed += chunk_len
-                self.crc.update_run(fdri, chunk, packed=packed)
+                    packed = struct.pack(f"<{count}I", *chunk)
+                self.crc.update_run(_FDRI, chunk, packed=packed)
                 self._fdri_run(packed)
-                index += chunk_len
                 continue
-            self.feed_word(words[index])
-            index += 1
+            if min(chunk) < 0 or max(chunk) > 0xFFFFFFFF:
+                chunk = [w & 0xFFFFFFFF for w in chunk]
+            self.crc.update_run_uncached(register, chunk)
+            if register == _FAR:
+                self._far_run(chunk)
+            elif register == _IDCODE:
+                if chunk.count(self.layout.idcode) != count:
+                    self.idcode_error = True
+
+    def _skip_to_sync(self, words, index: int, total: int) -> int:
+        """Bulk pre-sync scan: consume words up to and including the next
+        sync word and return the index after it (``total`` if none)."""
+        try:
+            found = words.index(SYNC_WORD, index)
+        except ValueError:
+            found = total
+        skipped = words[index:found]
+        if skipped and (min(skipped) < 0 or max(skipped) > 0xFFFFFFFF):
+            # A word wider than 32 bits can mask down to the sync word.
+            for offset, word in enumerate(skipped):
+                if word & 0xFFFFFFFF == SYNC_WORD:
+                    found = index + offset
+                    break
+        if found == total:
+            self.words_consumed += total - index
+            return total
+        self.words_consumed += found - index + 1
+        self.synced = True
+        self.desynced = False
+        return found + 1
+
+    def _far_run(self, chunk) -> None:
+        """Bulk FAR writes: only the last valid address survives, and any
+        invalid one latches the (sticky) CRC-class error."""
+        frame_index_of_word = self.layout.frame_index_of_word
+        if not self.crc_error:
+            for word in chunk:
+                if frame_index_of_word(word) < 0:
+                    self.crc_error = True
+                    break
+        for word in reversed(chunk):
+            far_index = frame_index_of_word(word)
+            if far_index >= 0:
+                self._far_index = far_index
+                break
 
     def _fdri_run(self, packed: bytes) -> None:
         """Bulk equivalent of per-word :meth:`_fdri_word` on packed bytes."""

@@ -53,10 +53,20 @@ def snapshots_enabled() -> bool:
 
 
 def _config_mapping(config) -> Dict[str, Any]:
-    """Normalise ``None`` / mapping / ``PdrSystemConfig`` to a dict."""
+    """Normalise ``None`` / mapping / ``PdrSystemConfig`` to a dict.
+
+    A tuple of ``(key, value)`` pairs counts as a mapping: it is the
+    canonical form :class:`~repro.exec.SweepRunner` gives a ``config``
+    dict parameter.
+    """
     if config is None:
         return {}
     if isinstance(config, Mapping):
+        return dict(config)
+    if isinstance(config, tuple) and all(
+        isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str)
+        for pair in config
+    ):
         return dict(config)
     from ..core.pdr_system import PdrSystemConfig
 

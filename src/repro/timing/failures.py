@@ -32,6 +32,7 @@ def corruption_rate(freq_mhz: float, fmax_mhz: float) -> float:
 
 
 def _xorshift32(state: int) -> int:
+    """One xorshift32 step: the reference for the corruptor's inlined loop."""
     state &= 0xFFFFFFFF
     state ^= (state << 13) & 0xFFFFFFFF
     state ^= state >> 17
@@ -81,12 +82,17 @@ def make_word_corruptor(
     state_box = [seed]
 
     def corrupt(words: List[int]) -> List[int]:
+        # _xorshift32 inlined: this loop runs once per streamed word.
         state = state_box[0]
         out = list(words)
         for i in range(len(out)):
-            state = _xorshift32(state)
+            state ^= (state << 13) & 0xFFFFFFFF
+            state ^= state >> 17
+            state ^= (state << 5) & 0xFFFFFFFF
             if state < threshold:
-                state = _xorshift32(state)
+                state ^= (state << 13) & 0xFFFFFFFF
+                state ^= state >> 17
+                state ^= (state << 5) & 0xFFFFFFFF
                 out[i] ^= state or 0x1
         state_box[0] = state
         return out

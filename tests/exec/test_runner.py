@@ -70,3 +70,24 @@ def test_parallel_with_cache_matches_serial(tmp_path):
     assert second.values == serial.values
     assert first.cache_hits == 0 and first.simulated == 6
     assert second.cache_hits == 6 and second.simulated == 0
+
+
+def test_config_mapping_survives_runner_canonicalisation():
+    """The runner hands a ``config`` dict to the point as ``(key, value)``
+    pairs; ``reconfigure_point`` must accept that form and build the same
+    system as the dict it came from."""
+    from repro.experiments.points import asp_descriptor, reconfigure_point
+    from repro.fabric import FirFilterAsp
+
+    workload = asp_descriptor(FirFilterAsp([1, 2]))
+    params = {
+        "region": "RP1",
+        "freq_mhz": 200.0,
+        "temp_c": 40.0,
+        "workload": workload,
+        "config": {"telemetry": False},
+    }
+    (result,) = SweepRunner().map("telemetry-off", reconfigure_point, [params])
+    direct = reconfigure_point(**params)
+    assert result.crc_valid
+    assert result.latency_us == direct.latency_us

@@ -40,6 +40,19 @@ def test_check_within_tolerance_passes():
     assert "[ok]" in check.render()
 
 
+def test_count_check_fails_on_drift_in_either_direction():
+    fewer = Check("s", "events", baseline=7297.0, fresh=7296.0,
+                  tolerance=0.0, worse="changed")
+    assert fewer.delta > 0
+    assert fewer.regressed
+    more = Check("s", "events", baseline=7296.0, fresh=7297.0,
+                 tolerance=0.0, worse="changed")
+    assert more.regressed
+    same = Check("s", "events", baseline=7296.0, fresh=7296.0,
+                 tolerance=0.0, worse="changed")
+    assert not same.regressed
+
+
 def test_advisory_check_never_fails_the_gate():
     check = Check("s", "wall_s", baseline=1.0, fresh=50.0,
                   tolerance=0.02, advisory=True)
@@ -113,6 +126,17 @@ def test_run_check_flags_real_regression(tmp_path, monkeypatch):
     code, lines = run_check(suites=("sweeps",), baseline_dir=str(tmp_path))
     assert code == 1
     assert any("latency_us" in line and "REGRESSED" in line for line in lines)
+
+
+def test_run_check_gates_event_counts_exactly(tmp_path, monkeypatch):
+    """A one-event drift (well inside the 2 % default tolerance) fails."""
+    _write_sweeps_baseline(tmp_path, events=7297.0)
+    monkeypatch.setattr(
+        benchcheck, "probe_sweeps", _fake_probe_sweeps(events=7296.0)
+    )
+    code, lines = run_check(suites=("sweeps",), baseline_dir=str(tmp_path))
+    assert code == 1
+    assert any(".events" in line and "REGRESSED" in line for line in lines)
 
 
 def test_run_check_inject_scale_forces_failure(tmp_path, monkeypatch):

@@ -68,9 +68,10 @@ FAULT_KINDS = ENVIRONMENT_KINDS + ("seu",)
 #: recoverable by design); only the fleet layer schedules it, and only
 #: the fleet layer handles it: the board stops executing mid-run and its
 #: remaining work fails over to the surviving boards
-#: (:mod:`repro.fleet.health`).  The :class:`~repro.chaos.ChaosInjector`
-#: does not deliver it — executors split it out of the plan before
-#: arming the injector.
+#: (:func:`repro.fleet.service.run_fleet`, which draws the kill schedule
+#: and checks it in :func:`repro.fleet.service.board_point`).  The
+#: :class:`~repro.chaos.ChaosInjector` does not deliver it: the fleet
+#: never puts it in the plan it arms.
 BOARD_KILL_KIND = "board_kill"
 
 

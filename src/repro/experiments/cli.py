@@ -285,6 +285,12 @@ def _run_report_command(args, runner: SweepRunner) -> int:
     return 0
 
 
+#: Subcommands that never enter the telemetry capture block: they
+#: reject ``--metrics-out``, ``--profile`` and ``--trace-dump`` rather
+#: than accept and ignore them.
+_NO_TELEMETRY = ("bench", "contention", "fleet", "report")
+
+
 def _run_fleet_command(args, runner: SweepRunner) -> int:
     """``repro-pdr fleet``: fleet-scale PDR service under live traffic.
 
@@ -296,11 +302,12 @@ def _run_fleet_command(args, runner: SweepRunner) -> int:
     exit status 1 when a ``--max-*`` SLO target is breached.
 
     ``--chaos`` arms a per-board fault storm (``--chaos-intensity``,
-    ``--kill-boards``, same ``--seed`` discipline) and routes execution
-    through the health/failover control plane; availability is then
-    graded against ``--min-availability``.  ``--verify`` attaches the
-    invariant monitor to every board; any violation fails the run, as
-    does (by default) an unhandled dead simulation process.
+    ``--kill-boards``, same ``--seed`` discipline) under the same driver;
+    the health/failover control plane recovers from it and availability
+    is graded against ``--min-availability``.  ``--verify`` attaches the
+    invariant monitor to every board without changing the run; any
+    violation fails it, as does (by default) an unhandled dead
+    simulation process.
     """
     from ..fleet import FleetSpec, format_report, render_json, run_fleet
 
@@ -735,6 +742,21 @@ def main(argv=None) -> int:
         if args.cases is None:
             args.cases = 10
         return _run_chaos_command(args)
+
+    telemetry_flags = [
+        flag
+        for flag, given in (
+            ("--metrics-out", args.metrics_out is not None),
+            ("--profile", args.profile),
+            ("--trace-dump", args.trace_dump is not None),
+        )
+        if given
+    ]
+    for name in _NO_TELEMETRY:
+        if name in args.experiments and telemetry_flags:
+            parser.error(
+                f"'{name}' does not support {', '.join(telemetry_flags)}"
+            )
 
     if "bench" in args.experiments:
         if len(args.experiments) != 1:

@@ -14,25 +14,23 @@ request-level SLOs — p50/p99 latency, rejected-request rate, per-board
 utilisation — with the same nearest-rank/rollup machinery as every
 other campaign in the repo.
 
-:mod:`repro.fleet.health` adds the fault-tolerance control plane: per-
-board chaos storms, a deterministic board health state machine
-(healthy → degraded → quarantined → dead) with a circuit breaker, and
-request-level failover with capped retries — the degraded-mode SLOs
-(availability under board loss, failover latency penalty, goodput)
-surface through the same :class:`FleetReport`.
+Every campaign runs through one plan → execute → replay driver: each
+board executes its schedule through the resilience layer, and requests
+whose load failed or whose board died fail over in later rounds.  A
+``chaos`` spec arms a per-board fault storm in round 0; without it the
+fault plan is empty.  :mod:`repro.fleet.health` holds the fault-
+tolerance control plane the replay feeds: a deterministic board health
+state machine (healthy → degraded → quarantined → dead) with a circuit
+breaker — the degraded-mode SLOs (availability under board loss,
+failover latency penalty, goodput) surface through the same
+:class:`FleetReport`.
 """
 
-from .health import (
-    DEADLINE_FACTOR,
-    FleetHealthTracker,
-    PROBE_COOLDOWN_US,
-    chaos_board_point,
-    run_chaos_fleet,
-)
+from .health import DEADLINE_FACTOR, FleetHealthTracker, PROBE_COOLDOWN_US
 from .report import FleetReport, FleetSlos, format_report, render_json
 from .scheduler import FleetPlan, plan_fleet
 from .service import FleetSpec, board_point, run_fleet
-from .workload import FleetRequest, build_workload, reissue
+from .workload import FleetRequest, build_workload
 
 __all__ = [
     "DEADLINE_FACTOR",
@@ -45,11 +43,8 @@ __all__ = [
     "PROBE_COOLDOWN_US",
     "board_point",
     "build_workload",
-    "chaos_board_point",
     "format_report",
     "plan_fleet",
-    "reissue",
     "render_json",
-    "run_chaos_fleet",
     "run_fleet",
 ]

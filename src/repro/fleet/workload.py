@@ -28,7 +28,6 @@ plain-data records, no wall clock, no global RNG.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Tuple
@@ -42,7 +41,6 @@ __all__ = [
     "PAD_CLASSES",
     "FleetRequest",
     "build_workload",
-    "reissue",
 ]
 
 #: Regions a request may target (every board has the full Z-7020 set).
@@ -91,17 +89,6 @@ class FleetRequest:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "FleetRequest":
         return cls(**dict(mapping))
-
-
-def reissue(request: FleetRequest, arrival_us: float) -> FleetRequest:
-    """The same logical request re-admitted at a later time.
-
-    Failover (see :mod:`repro.fleet.health`) re-enters a failed request
-    into the scheduler as if it arrived at ``arrival_us`` — same index,
-    same content, so the terminal-outcome accounting stays keyed on the
-    original request identity.
-    """
-    return dataclasses.replace(request, arrival_us=float(arrival_us))
 
 
 def _draw_content(rng: random.Random, hot_set) -> Tuple[str, str, int, int]:

@@ -21,7 +21,8 @@ boundary (the fault-injection campaign ships them to sweep workers) and
 key the on-disk result cache.
 
 The same policy object also governs **fleet-level request failover**
-(:mod:`repro.fleet.health`), deliberately sharing one set of knobs so
+(the failover rounds of :func:`repro.fleet.service.run_fleet` and the
+board detector of :mod:`repro.fleet.health`), deliberately sharing one set of knobs so
 board-local retries and fleet-level re-admission cannot drift apart:
 
 * ``max_attempts`` caps the *service attempts* a fleet request may
@@ -68,7 +69,7 @@ class RecoveryPolicy:
     quarantine_after: int = 2
     #: Fleet failover: delay (µs) before a failed request's *first*
     #: re-admission; each further retry doubles it (see
-    #: :meth:`failover_delay_us` and :mod:`repro.fleet.health`).
+    #: :meth:`failover_delay_us` and :func:`repro.fleet.service.run_fleet`).
     failover_backoff_base_us: float = 400.0
 
     def __post_init__(self) -> None:

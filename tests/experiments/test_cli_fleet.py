@@ -51,6 +51,23 @@ def test_fleet_cannot_combine_with_other_experiments():
         main(["fleet", "table1"])
 
 
+@pytest.mark.parametrize(
+    "command", [ARGS, ["contention"], ["bench", "--check"], ["report"]]
+)
+@pytest.mark.parametrize(
+    "flags", [["--metrics-out", "m.json"], ["--profile"], ["--trace-dump"]]
+)
+def test_subcommands_without_telemetry_reject_its_flags(
+    command, flags, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(command + flags)
+    assert exc.value.code == 2
+    assert f"does not support {flags[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 CHAOS_ARGS = ARGS + ["--chaos", "--kill-boards", "1", "--chaos-intensity", "3"]
 
 

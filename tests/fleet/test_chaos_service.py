@@ -133,3 +133,6 @@ def test_chaos_spec_validation():
         FleetSpec(boards=2, chaos=True, kill_boards=3)  # beyond fleet
     with pytest.raises(ValueError):
         FleetSpec(boards=2, chaos=True, chaos_intensity=-1)
+    with pytest.raises(ValueError):
+        FleetSpec(boards=2, seu_per_ms=0.5)  # SEUs require chaos
+    FleetSpec(boards=2, chaos=True, seu_per_ms=0.5)

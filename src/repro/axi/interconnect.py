@@ -66,6 +66,8 @@ class AxiInterconnect:
         self.controller = controller
         self.forward_latency_ns = forward_latency_ns
         self.name = name
+        self._read_name = f"{name}.read"
+        self._write_name = f"{name}.write"
         self._lanes: Dict[str, _Lane] = {}
         self.transactions = 0
         self.per_master_transactions: Dict[str, int] = {}
@@ -94,12 +96,12 @@ class AxiInterconnect:
     # -- master API ----------------------------------------------------------
     def read(self, addr: int, size: int, master: str = _DEFAULT_MASTER) -> Event:
         """Submit a read; the event value is the data bytes."""
-        done = self.sim.event(name=f"{self.name}.read")
+        done = Event(self.sim, self._read_name)
         self._submit(master, ("r", addr, size, None, done, self.sim.now))
         return done
 
     def write(self, addr: int, data: bytes, master: str = _DEFAULT_MASTER) -> Event:
-        done = self.sim.event(name=f"{self.name}.write")
+        done = Event(self.sim, self._write_name)
         self._submit(master, ("w", addr, len(data), data, done, self.sim.now))
         return done
 
@@ -124,34 +126,49 @@ class AxiInterconnect:
             )
         lane.queue.append(request)
         self._m_outstanding.add(1)
-        if lane.wake is not None and not lane.wake.triggered:
-            lane.wake.succeed()
+        wake = lane.wake
+        if wake is not None and not wake.triggered:
+            wake.succeed()
 
     def _lane_server(self, master: str, lane: _Lane):
+        # Everything per-master is fixed for the lane's lifetime: bind it
+        # once instead of per transaction.
+        sim = self.sim
+        queue = lane.queue
+        wake_name = f"{self.name}.lane.{master}.wake"
+        master_wait = self._m_master_wait[master]
+        master_bytes = self._m_master_bytes[master]
+        m_transactions = self._m_transactions
+        m_bytes = self._m_bytes
+        m_queue_wait_us = self._m_queue_wait_us
+        m_outstanding = self._m_outstanding
+        per_master_transactions = self.per_master_transactions
+        per_master_wait_ns = self.per_master_wait_ns
+        per_master_bytes = self.per_master_bytes
         while True:
-            if not lane.queue:
-                lane.wake = self.sim.event(name=f"{self.name}.lane.{master}.wake")
+            if not queue:
+                lane.wake = Event(sim, wake_name)
                 yield lane.wake
-            kind, addr, size, data, done, submitted_ns = lane.queue.popleft()
-            wait_ns = self.sim.now - submitted_ns
+            kind, addr, size, data, done, submitted_ns = queue.popleft()
+            wait_ns = sim.now - submitted_ns
             self.transactions += 1
-            self.per_master_transactions[master] += 1
-            self.per_master_wait_ns[master] += wait_ns
-            self._m_master_wait[master].inc(wait_ns)
-            self._m_transactions.inc()
-            self._m_bytes.inc(size)
-            self._m_queue_wait_us.observe(wait_ns / 1e3)
+            per_master_transactions[master] += 1
+            per_master_wait_ns[master] += wait_ns
+            master_wait.inc(wait_ns)
+            m_transactions.inc()
+            m_bytes.inc(size)
+            m_queue_wait_us.observe(wait_ns / 1e3)
             # Forward path: address decode + arbitration + register slices.
             stall_ns = 0.0
             if self.fault_stall_ns is not None:
                 stall_ns = max(0.0, self.fault_stall_ns())
-            yield self.sim.timeout(self.forward_latency_ns + stall_ns)
+            yield sim.timeout(self.forward_latency_ns + stall_ns)
             if self.fault_error is not None:
                 error = self.fault_error(kind, addr, size)
                 if error is not None:
                     self._m_error_responses.inc()
                     done.fail(error)
-                    self._m_outstanding.add(-1)
+                    m_outstanding.add(-1)
                     continue
             if kind == "r":
                 payload = yield self.controller.read(addr, size, master=master)
@@ -159,6 +176,6 @@ class AxiInterconnect:
             else:
                 yield self.controller.write(addr, data, master=master)
                 done.succeed(None)
-            self.per_master_bytes[master] += size
-            self._m_master_bytes[master].inc(size)
-            self._m_outstanding.add(-1)
+            per_master_bytes[master] += size
+            master_bytes.inc(size)
+            m_outstanding.add(-1)

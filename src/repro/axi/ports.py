@@ -36,6 +36,8 @@ class AxiHpPort:
         self.width_bits = width_bits
         self.clock_mhz = clock_mhz
         self.name = name
+        #: One name for every read burst's completion event and process.
+        self._read_name = f"{name}.read"
         self.bytes_transferred = 0
 
     @property
@@ -54,25 +56,24 @@ class AxiHpPort:
         phase is port-limited: total = interconnect+access latency +
         max(DDR transfer, port transfer).
         """
-        done = self.sim.event(name=f"{self.name}.read")
-
-        def transaction():
-            # An error response on the bus must land on the *issuing*
-            # master's completion event, not kill this port process.
-            try:
-                data = yield self.interconnect.read(addr, size, master=self.name)
-            except Exception as exc:
-                done.fail(exc)
-                return
-            ddr_transfer = self.interconnect.controller.device.transfer_ns(size)
-            extra = self.stream_ns(size) - ddr_transfer
-            if extra > 0:
-                yield self.sim.timeout(extra)
-            self.bytes_transferred += size
-            done.succeed(data)
-
-        self.sim.process(transaction(), name=f"{self.name}.read@{addr:#x}")
+        done = Event(self.sim, self._read_name)
+        self.sim.process(self._read(addr, size, done), name=self._read_name)
         return done
+
+    def _read(self, addr: int, size: int, done: Event):
+        # An error response on the bus must land on the *issuing*
+        # master's completion event, not kill this port process.
+        try:
+            data = yield self.interconnect.read(addr, size, master=self.name)
+        except Exception as exc:
+            done.fail(exc)
+            return
+        ddr_transfer = self.interconnect.controller.device.transfer_ns(size)
+        extra = self.stream_ns(size) - ddr_transfer
+        if extra > 0:
+            yield self.sim.timeout(extra)
+        self.bytes_transferred += size
+        done.succeed(data)
 
     def write(self, addr: int, data: bytes) -> Event:
         done = self.sim.event(name=f"{self.name}.write")

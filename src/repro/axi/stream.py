@@ -11,8 +11,8 @@ the producer (the memory-side read engine), and vice versa.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Optional, Sequence, Tuple
 
 from ..obs import MetricsRegistry
 from ..sim import Channel, Event, Simulator
@@ -22,11 +22,10 @@ __all__ = ["StreamBurst", "AxiStream"]
 
 @dataclass
 class StreamBurst:
-    """One TLAST-delimited group of words on the stream."""
+    """One TLAST-delimited group of words on the stream (a list or tuple)."""
 
-    words: List[int]
+    words: Sequence[int]
     last: bool = False
-    meta: dict = field(default_factory=dict)
 
     @property
     def size_bytes(self) -> int:
@@ -116,9 +115,10 @@ class AxiStream:
 
     def push(self, burst: StreamBurst) -> None:
         """Enqueue a burst whose space was previously reserved."""
-        self.total_words += len(burst.words)
-        self.stat_queued_words += len(burst.words)
-        self._m_words.inc(len(burst.words))
+        words = len(burst.words)
+        self.total_words += words
+        self.stat_queued_words += words
+        self._m_words.inc(words)
         self._m_depth.observe(self.fifo_words - self._free_words)
         self._bursts.try_put(burst)
         if self.monitor is not None:

@@ -15,7 +15,7 @@ passes the device's CRC check unless it is corrupted in flight.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from array import array
 from typing import Dict, List, Optional, Sequence
 
 from .crc import ConfigCrc
@@ -34,48 +34,71 @@ from .registers import Command, ConfigRegister
 
 __all__ = ["Bitstream", "BitstreamBuilder"]
 
+#: An ``array`` type code with 4-byte items (for the per-word byte swap).
+_WORD_CODE = "I" if array("I").itemsize == 4 else "L"
+_NOOP_BE = struct.pack(">I", NOOP_WORD)
 
-@dataclass
+
 class Bitstream:
-    """A built configuration stream plus its provenance metadata."""
+    """A built configuration stream plus its provenance metadata.
 
-    words: List[int]
-    region_name: str
-    frame_count: int
-    description: str = ""
-    meta: Dict[str, object] = field(default_factory=dict)
+    The stream lives as big-endian packed bytes, the form staged in DRAM
+    and read by the DMA; ``words`` is unpacked on first read.  Built
+    bitstreams are immutable in practice (mutations go through
+    :meth:`corrupted`, which copies), so both forms are memoised.
+    Construct from ``words`` or from ``packed`` bytes.
+    """
+
+    def __init__(
+        self,
+        words: Optional[List[int]] = None,
+        region_name: str = "",
+        frame_count: int = 0,
+        description: str = "",
+        meta: Optional[Dict[str, object]] = None,
+        packed: Optional[bytes] = None,
+    ):
+        if (words is None) == (packed is None):
+            raise ValueError("exactly one of words / packed is required")
+        if packed is not None and len(packed) % 4:
+            raise ValueError(f"bitstream byte length {len(packed)} not word aligned")
+        self._words = words
+        self._packed_be = packed
+        self.region_name = region_name
+        self.frame_count = frame_count
+        self.description = description
+        self.meta: Dict[str, object] = {} if meta is None else meta
+
+    @property
+    def words(self) -> List[int]:
+        """The stream as a list of 32-bit words (unpacked on first read)."""
+        if self._words is None:
+            packed = self._packed_be
+            self._words = list(struct.unpack(f">{len(packed) // 4}I", packed))
+        return self._words
 
     @property
     def word_count(self) -> int:
-        return len(self.words)
+        if self._packed_be is not None:
+            return len(self._packed_be) // 4
+        return len(self._words)
 
     @property
     def size_bytes(self) -> int:
-        return len(self.words) * 4
-
-    def __post_init__(self) -> None:
-        self._packed_be: Optional[bytes] = None
+        return self.word_count * 4
 
     def to_bytes(self) -> bytes:
-        """Serialise big-endian per word (configuration stream order).
-
-        Memoised on the instance: built bitstreams are immutable in
-        practice (mutations go through :meth:`corrupted`, which copies),
-        and campaigns re-stage the same stream into DRAM for every case.
-        """
+        """Serialise big-endian per word (configuration stream order)."""
         if self._packed_be is None:
-            self._packed_be = struct.pack(f">{len(self.words)}I", *self.words)
+            self._packed_be = struct.pack(f">{len(self._words)}I", *self._words)
         return self._packed_be
 
     @classmethod
     def from_bytes(
         cls, data: bytes, region_name: str = "", description: str = ""
     ) -> "Bitstream":
-        if len(data) % 4:
-            raise ValueError(f"bitstream byte length {len(data)} not word aligned")
-        words = list(struct.unpack(f">{len(data) // 4}I", data))
         return cls(
-            words=words,
+            packed=bytes(data),
             region_name=region_name,
             frame_count=0,
             description=description,
@@ -83,7 +106,7 @@ class Bitstream:
 
     def corrupted(self, word_index: int, flip_mask: int = 0x1) -> "Bitstream":
         """A copy with one word XOR-flipped (for fault-injection tests)."""
-        if not 0 <= word_index < len(self.words):
+        if not 0 <= word_index < self.word_count:
             raise IndexError(f"word index {word_index} out of range")
         words = list(self.words)
         words[word_index] ^= flip_mask
@@ -94,6 +117,14 @@ class Bitstream:
             description=f"{self.description} (corrupted @{word_index})",
             meta=dict(self.meta),
         )
+
+
+def _swap_words(packed: bytes) -> bytes:
+    """Little-endian packed words as big-endian (a per-word byte swap)."""
+    words = array(_WORD_CODE)
+    words.frombytes(packed)
+    words.byteswap()
+    return words.tobytes()
 
 
 class BitstreamBuilder:
@@ -270,10 +301,11 @@ class BitstreamBuilder:
         emit(NOOP_WORD)
 
         # ---- frame data: type1 FDRI (count 0) + type2 with all frames ----
-        # One pad frame flushes the device's frame buffer.
+        # One pad frame flushes the device's frame buffer.  The payload
+        # stays packed bytes end to end: little-endian for the CRC run,
+        # byte-swapped into the big-endian stream.
         if frame_data_packed is not None:
             packed_le = frame_data_packed + bytes(FRAME_WORDS * 4)
-            data_words = list(struct.unpack(f"<{len(packed_le) // 4}I", packed_le))
         else:
             data_words = []
             for frame in frame_data:
@@ -284,11 +316,15 @@ class BitstreamBuilder:
             except struct.error:
                 data_words = [w & 0xFFFFFFFF for w in data_words]
                 packed_le = struct.pack(f"<{len(data_words)}I", *data_words)
+        data_count = len(packed_le) // 4
 
         emit(type1(OP_WRITE, int(ConfigRegister.FDRI), 0))
-        emit(type2(OP_WRITE, len(data_words)))
-        words.extend(data_words)
-        crc.update_run(int(ConfigRegister.FDRI), data_words, packed=packed_le)
+        emit(type2(OP_WRITE, data_count))
+        # The payload stays packed; ``emit`` now collects the trailer.
+        head, words = words, []
+        crc.update_run(
+            int(ConfigRegister.FDRI), None, packed=packed_le, remember_run=True
+        )
 
         # ---- trailer: CRC check, last frame, desync -----------------------
         expected_crc = crc.value
@@ -304,24 +340,32 @@ class BitstreamBuilder:
             emit(NOOP_WORD)
 
         # ---- optional exact-size padding -----------------------------------
+        size = (len(head) + data_count + len(words)) * 4
+        pad_words = 0
         if pad_to_bytes is not None:
             if pad_to_bytes % 4:
                 raise ValueError(f"pad_to_bytes={pad_to_bytes} not word aligned")
-            if pad_to_bytes < len(words) * 4:
+            if pad_to_bytes < size:
                 raise ValueError(
                     f"pad_to_bytes={pad_to_bytes} smaller than stream "
-                    f"({len(words) * 4} bytes)"
+                    f"({size} bytes)"
                 )
-            words.extend([NOOP_WORD] * ((pad_to_bytes - len(words) * 4) // 4))
+            pad_words = (pad_to_bytes - size) // 4
 
+        packed_be = b"".join((
+            struct.pack(f">{len(head)}I", *head),
+            _swap_words(packed_le),
+            struct.pack(f">{len(words)}I", *words),
+            _NOOP_BE * pad_words,
+        ))
         return Bitstream(
-            words=words,
+            packed=packed_be,
             region_name=region_name,
             frame_count=region_frame_count,
             description=description or f"partial for {region_name}",
             meta={
                 "expected_crc": expected_crc,
                 "first_far": first_far.encode(),
-                "data_words": len(data_words),
+                "data_words": data_count,
             },
         )

@@ -237,25 +237,36 @@ def _fold_run_raw(raw: int, register_addr: int, words) -> int:
     return raw
 
 
+#: Segments a run block splits into for :func:`_run_constants_numpy`.
+_RUN_SEGMENTS_MAX = 16
+
+
 def _run_constants_numpy(register_addr: int, blocks: List[bytes]) -> List[int]:
     """Content constants for many equal-sized packed run blocks at once.
 
     Every block folds independently from a zero state, so the folds
-    vectorise across blocks: one lane per block, advancing two
-    ``(word, addr)`` writes per iteration with the same tables the scalar
-    :func:`_fold_run_raw` uses.  Results are bit-identical.
+    vectorise across blocks.  Each block also splits into up to
+    :data:`_RUN_SEGMENTS_MAX` even-length segments folded in parallel
+    (one lane per segment of every block, advancing two ``(word, addr)``
+    writes per iteration with the same tables the scalar
+    :func:`_fold_run_raw` uses); the per-segment partials then combine
+    with the zero-advance operator for the segment length.  Results are
+    bit-identical.
     """
     t = _np_tables10()
-    words_per = len(blocks[0]) // 4  # callers pass equal, even-sized blocks
-    arr = _np.frombuffer(b"".join(blocks), dtype="<u4").reshape(
-        len(blocks), words_per
-    )
+    k = len(blocks)
+    n = len(blocks[0]) // 4  # callers pass equal, even-sized blocks
+    s = 1
+    while s * 2 <= _RUN_SEGMENTS_MAX and n % (s * 4) == 0:
+        s *= 2
+    seg = n // s
+    arr = _np.frombuffer(b"".join(blocks), dtype="<u4").reshape(k * s, seg)
     cols = _np.ascontiguousarray(arr.T)
     addr_k = _np.uint32(
         _TABLES10[5][register_addr] ^ _TABLES10[0][register_addr]
     )
-    state = _np.zeros(len(blocks), dtype=_np.uint32)
-    for j in range(0, words_per, 2):
+    state = _np.zeros(k * s, dtype=_np.uint32)
+    for j in range(0, seg, 2):
         x = state ^ cols[j]
         w1 = cols[j + 1]
         state = (
@@ -269,7 +280,19 @@ def _run_constants_numpy(register_addr: int, blocks: List[bytes]) -> List[int]:
             ^ t[1][w1 >> 24]
             ^ addr_k
         )
-    return state.tolist()
+    partials = state.reshape(k, s)
+    z0, z1, z2, z3 = (
+        _np.array(table, dtype=_np.uint32) for table in _zero_operator(5 * seg)
+    )
+    raw = partials[:, 0]
+    for j in range(1, s):
+        raw = (
+            z0[raw & 0xFF]
+            ^ z1[(raw >> 8) & 0xFF]
+            ^ z2[(raw >> 16) & 0xFF]
+            ^ z3[raw >> 24]
+        ) ^ partials[:, j]
+    return raw.tolist()
 
 
 def _chunk_constants_numpy(chunks: List[bytes]) -> List[int]:
@@ -346,6 +369,18 @@ _RUN_CACHE_MAX = 4096
 _RUN_BLOCK_BYTES = 1024
 #: Below this the plain per-word loop wins over packing + hashing.
 _RUN_FAST_MIN_WORDS = 16
+
+#: Whole-run constants of the register runs a bitstream build folded
+#: (``remember_run=True``): ``(addr, run length, first 1 KiB block) ->
+#: (run bytes, C(run))``.  A clean transfer re-feeds exactly the run the
+#: builder folded, so the configuration port resolves it with one lookup
+#: and one compare at flush instead of a lookup per block.  The key's
+#: first block (hashed cheaply) picks the candidate; the full compare
+#: makes the match exact.  Only builds insert — a corrupted run never
+#: recurs — and every entry holds a whole FDRI payload, so the LRU is
+#: small.
+_WHOLE_RUN_CACHE: "OrderedDict[Tuple[int, int, bytes], Tuple[bytes, int]]" = OrderedDict()
+_WHOLE_RUN_CACHE_MAX = 16
 
 #: Content-keyed constants for plain word streams carried as packed bytes
 #: (the scrubber's read-back chunks): ``packed -> C(M)``.
@@ -432,12 +467,14 @@ class ConfigCrc:
         #: (address, word) pairs folded since the last reset (for debugging).
         self.words_folded = 0
         # Pending run content: packed little-endian words written to
-        # ``_run_addr`` but not yet folded.  Deferring the fold lets
-        # consecutive :meth:`update_run` calls (the ICAP's burst-sized
-        # pieces of one FDRI payload) realign on run-relative block
-        # boundaries, so their content-cache keys match the builder's.
+        # ``_run_addr`` but not yet folded.  The fold is deferred to the
+        # flush, so the consecutive :meth:`update_run` calls of one FDRI
+        # payload (the ICAP's burst-sized pieces) resolve as one run: a
+        # single whole-run lookup when a build remembered it, else blocks
+        # aligned to the run start, whose cache keys match the builder's.
         self._run_addr: Optional[int] = None
         self._run_buf = bytearray()
+        self._run_remember = False
 
     @property
     def value(self) -> int:
@@ -449,6 +486,7 @@ class ConfigCrc:
         # fold into a value nobody can observe — drop it.
         self._run_addr = None
         self._run_buf.clear()
+        self._run_remember = False
         self._crc = 0
         self.error = False
         self.words_folded = 0
@@ -470,19 +508,28 @@ class ConfigCrc:
         self._crc = crc ^ 0xFFFFFFFF
         self.words_folded += 1
 
-    def update_run(self, register_addr: int, words, packed: bytes = None) -> None:
+    def update_run(
+        self,
+        register_addr: int,
+        words,
+        packed: Optional[bytes] = None,
+        remember_run: bool = False,
+    ) -> None:
         """Fold many words written to the *same* register (bulk FDRI path).
 
         Semantically identical to calling :meth:`update` per word, but
         with the per-word overhead hoisted out of the loop — FDRI carries
         >130 k words per partial bitstream.  Runs the caller already holds
-        little-endian packed (``packed``) — or that pack cleanly — take
-        the linear-operator path: the run constant is content-cached, so
-        re-feeding an already-seen bitstream chunk is O(1) in its length.
+        little-endian packed (``packed``, in which case ``words`` may be
+        ``None``) — or that pack cleanly — take the linear-operator path:
+        run content is content-cached, so re-feeding an already-seen
+        bitstream run is O(1) in its length.  ``remember_run`` (a
+        bitstream build) stores the whole run's constant for the
+        transfers that will re-feed it.
         """
         if not 0 <= register_addr < 32:
             raise ValueError(f"register address {register_addr} out of range")
-        count = len(words)
+        count = len(packed) // 4 if packed is not None else len(words)
         if count == 0:
             return
         if count >= _RUN_FAST_MIN_WORDS:
@@ -495,12 +542,12 @@ class ConfigCrc:
                 if self._run_addr is not None and self._run_addr != register_addr:
                     self._flush_run()
                 self._run_addr = register_addr
-                buf = self._run_buf
-                buf += packed
-                if len(buf) >= _RUN_BLOCK_BYTES:
-                    self._fold_full_blocks(register_addr)
+                self._run_buf += packed
+                self._run_remember = self._run_remember or remember_run
                 self.words_folded += count
                 return
+        if words is None:
+            words = struct.unpack(f"<{count}I", packed)
         self._flush_run()
         t0, t1, t2, t3 = _TABLES
         crc = self._crc ^ 0xFFFFFFFF
@@ -549,14 +596,14 @@ class ConfigCrc:
             ^ z3[raw >> 24]
         ) ^ constant
 
-    def _fold_full_blocks(self, register_addr: int) -> None:
-        buf = self._run_buf
-        end = (len(buf) // _RUN_BLOCK_BYTES) * _RUN_BLOCK_BYTES
+    def _fold_blocks(self, raw: int, register_addr: int, run) -> int:
+        """Fold a packed run block by block (1 KiB blocks aligned to the
+        run start, then the tail) via the content-cached constants."""
+        full = (len(run) // _RUN_BLOCK_BYTES) * _RUN_BLOCK_BYTES
         blocks = [
-            bytes(buf[offset : offset + _RUN_BLOCK_BYTES])
-            for offset in range(0, end, _RUN_BLOCK_BYTES)
+            bytes(run[offset : offset + _RUN_BLOCK_BYTES])
+            for offset in range(0, full, _RUN_BLOCK_BYTES)
         ]
-        del buf[:end]
         if _np is not None:
             missing = list(
                 dict.fromkeys(
@@ -570,22 +617,54 @@ class ConfigCrc:
                     _RUN_CACHE[(register_addr, block)] = constant
                     if len(_RUN_CACHE) > _RUN_CACHE_MAX:
                         _RUN_CACHE.popitem(last=False)
-        raw = self._crc ^ 0xFFFFFFFF
         for block in blocks:
             raw = self._apply_run_block(raw, register_addr, block)
-        self._crc = raw ^ 0xFFFFFFFF
+        if full < len(run):
+            raw = self._apply_run_block(raw, register_addr, bytes(run[full:]))
+        return raw
 
     def _flush_run(self) -> None:
-        """Fold any pending run tail (shorter than one block)."""
+        """Fold the pending run: one whole-run lookup, else block by block."""
         if self._run_addr is None:
             return
         addr = self._run_addr
-        buf = self._run_buf
+        run = self._run_buf
+        remember = self._run_remember
         self._run_addr = None
-        if buf:
-            raw = self._apply_run_block(self._crc ^ 0xFFFFFFFF, addr, bytes(buf))
-            buf.clear()
-            self._crc = raw ^ 0xFFFFFFFF
+        self._run_remember = False
+        if not run:
+            return
+        raw = self._crc ^ 0xFFFFFFFF
+        key = (addr, len(run), bytes(run[:_RUN_BLOCK_BYTES]))
+        entry = _WHOLE_RUN_CACHE.get(key)
+        if entry is not None and entry[0] == run:
+            _WHOLE_RUN_CACHE.move_to_end(key)
+            z0, z1, z2, z3 = _zero_operator(5 * (len(run) // 4))
+            raw = (
+                z0[raw & 0xFF]
+                ^ z1[(raw >> 8) & 0xFF]
+                ^ z2[(raw >> 16) & 0xFF]
+                ^ z3[raw >> 24]
+            ) ^ entry[1]
+        else:
+            before = raw
+            raw = self._fold_blocks(raw, addr, run)
+            if remember:
+                # The run's own constant C satisfies
+                # raw = Z(before) ^ C, whatever state it started from.
+                z0, z1, z2, z3 = _zero_operator(5 * (len(run) // 4))
+                constant = raw ^ (
+                    z0[before & 0xFF]
+                    ^ z1[(before >> 8) & 0xFF]
+                    ^ z2[(before >> 16) & 0xFF]
+                    ^ z3[before >> 24]
+                )
+                _WHOLE_RUN_CACHE[key] = (bytes(run), constant)
+                _WHOLE_RUN_CACHE.move_to_end(key)
+                while len(_WHOLE_RUN_CACHE) > _WHOLE_RUN_CACHE_MAX:
+                    _WHOLE_RUN_CACHE.popitem(last=False)
+        run.clear()
+        self._crc = raw ^ 0xFFFFFFFF
 
     def check(self, expected: int) -> bool:
         """Compare against ``expected`` (a CRC-register write).

@@ -15,6 +15,7 @@ out before starting a transfer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -56,6 +57,41 @@ class MmcmSetting:
         return self.vco_mhz / self.outdiv
 
 
+@functools.lru_cache(maxsize=256)
+def _best_setting(
+    f_in_mhz: float, c: MmcmConstraints, target_mhz: float
+) -> MmcmSetting:
+    """:meth:`ClockWizard.best_setting`, memoised: the search is a pure
+    function of its arguments and walks every legal (M, D, O) — a few
+    milliseconds per reconfiguration otherwise."""
+    best: Optional[Tuple[float, float, MmcmSetting]] = None
+    for div in range(c.div_min, c.div_max + 1):
+        pfd = f_in_mhz / div
+        if pfd < 10.0:  # PFD floor: very large D is illegal
+            break
+        for mult in range(c.mult_min, c.mult_max + 1):
+            vco = f_in_mhz * mult / div
+            if vco < c.vco_min_mhz:
+                continue
+            if vco > c.vco_max_mhz:
+                break
+            outdiv = max(c.outdiv_min, min(c.outdiv_max, round(vco / target_mhz)))
+            for o in (outdiv - 1, outdiv, outdiv + 1):
+                if not c.outdiv_min <= o <= c.outdiv_max:
+                    continue
+                setting = MmcmSetting(mult=mult, div=div, outdiv=o, f_in_mhz=f_in_mhz)
+                error = abs(setting.f_out_mhz - target_mhz)
+                key = (error, -setting.vco_mhz)
+                if best is None or key < (best[0], best[1]):
+                    best = (error, -setting.vco_mhz, setting)
+    if best is None:
+        raise ValueError(
+            f"no legal MMCM setting near {target_mhz} MHz from "
+            f"{f_in_mhz} MHz input"
+        )
+    return best[2]
+
+
 class ClockWizard:
     """Programs a :class:`~repro.sim.ClockDomain` through an MMCM model."""
 
@@ -85,33 +121,7 @@ class ClockWizard:
         """
         if target_mhz <= 0:
             raise ValueError("target frequency must be positive")
-        c = self.constraints
-        best: Optional[Tuple[float, float, MmcmSetting]] = None
-        for div in range(c.div_min, c.div_max + 1):
-            pfd = self.f_in_mhz / div
-            if pfd < 10.0:  # PFD floor: very large D is illegal
-                break
-            for mult in range(c.mult_min, c.mult_max + 1):
-                vco = self.f_in_mhz * mult / div
-                if vco < c.vco_min_mhz:
-                    continue
-                if vco > c.vco_max_mhz:
-                    break
-                outdiv = max(c.outdiv_min, min(c.outdiv_max, round(vco / target_mhz)))
-                for o in (outdiv - 1, outdiv, outdiv + 1):
-                    if not c.outdiv_min <= o <= c.outdiv_max:
-                        continue
-                    setting = MmcmSetting(mult=mult, div=div, outdiv=o, f_in_mhz=self.f_in_mhz)
-                    error = abs(setting.f_out_mhz - target_mhz)
-                    key = (error, -setting.vco_mhz)
-                    if best is None or key < (best[0], best[1]):
-                        best = (error, -setting.vco_mhz, setting)
-        if best is None:
-            raise ValueError(
-                f"no legal MMCM setting near {target_mhz} MHz from "
-                f"{self.f_in_mhz} MHz input"
-            )
-        return best[2]
+        return _best_setting(self.f_in_mhz, self.constraints, target_mhz)
 
     def achievable_mhz(self, target_mhz: float) -> float:
         return self.best_setting(target_mhz).f_out_mhz

@@ -190,18 +190,25 @@ class AxiDmaEngine:
         remaining = length
         cursor = addr
         pushed_bytes = 0
+        stream = self.stream
+        clock = self.clock
+        port = self.port
+        cmd_cycles = self.cmd_overhead_cycles
+        m_cmd_cycles = self._m_cmd_cycles
+        m_bursts = self._m_bursts
+        m_bytes = self._m_bytes
         while remaining:
             burst_bytes = min(self.max_burst_bytes, remaining)
             burst_words = (burst_bytes + 3) // 4
-            reserve = self.stream.reserve(burst_words)
+            reserve = stream.reserve(burst_words)
             self._reservation = (reserve, burst_words)
             yield reserve
             # Command issue overhead is paid in the over-clocked domain:
             # faster clock, smaller gap — until the memory path dominates.
-            yield self.clock.wait_cycles(self.cmd_overhead_cycles)
-            self._m_cmd_cycles.inc(self.cmd_overhead_cycles)
+            yield clock.wait_cycles(cmd_cycles)
+            m_cmd_cycles.inc(cmd_cycles)
             try:
-                data = yield self.port.read(cursor, burst_bytes)
+                data = yield port.read(cursor, burst_bytes)
             except Interrupt:
                 # A DMACR soft reset interrupted the burst; ``_reset``
                 # owns the cleanup (it already cancelled the reservation).
@@ -215,22 +222,22 @@ class AxiDmaEngine:
                 # stays exact for the abort drain.
                 if self._reservation is not None:
                     self._reservation = None
-                    self.stream.cancel_reserve(reserve, burst_words)
+                    stream.cancel_reserve(reserve, burst_words)
                 self._status |= DMASR_HALTED | DMASR_DMA_INT_ERR
                 self._active = None
                 self.axi_errors += 1
                 self._m_axi_errors.inc()
                 return
-            words = list(struct.unpack(f">{len(data) // 4}I", data))
+            words = struct.unpack(f">{len(data) // 4}I", data)
             is_last = remaining == burst_bytes
-            self.stream.push(StreamBurst(words=words, last=is_last))
+            stream.push(StreamBurst(words, is_last))
             self._reservation = None
             pushed_bytes += len(words) * 4
             cursor += burst_bytes
             remaining -= burst_bytes
             self.bytes_moved += burst_bytes
-            self._m_bursts.inc()
-            self._m_bytes.inc(burst_bytes)
+            m_bursts.inc()
+            m_bytes.inc(burst_bytes)
 
         # Completion means the stream slave accepted the last beat: wait
         # for the FIFO to drain fully before declaring the transfer done.

@@ -293,20 +293,32 @@ class BankDramController:
 
     # -- server ----------------------------------------------------------------
     def _serve(self):
+        sim = self.sim
         timing = self.timing
         device = self.device
+        wake_name = f"{self.name}.wake"
+        m_queue_depth = self._m_queue_depth
+        m_queue_wait_ns = self._m_queue_wait_ns
+        m_queue_wait_us = self._m_queue_wait_us
+        m_service_us = self._m_service_us
+        m_requests = self._m_requests
+        m_outcome = {
+            "hit": self._m_row_hits,
+            "miss": self._m_row_misses,
+            "conflict": self._m_row_conflicts,
+        }
         while True:
             if self._pending == 0:
-                self._wakeup = self.sim.event(name=f"{self.name}.wake")
+                self._wakeup = Event(sim, wake_name)
                 yield self._wakeup
             request = self._next_request()
             self._pending -= 1
-            started = self.sim.now
-            self._m_queue_depth.set(self._pending)
+            started = sim.now
+            m_queue_depth.set(self._pending)
             wait_ns = started - request.submitted_ns
             self.queue_wait_ns += wait_ns
-            self._m_queue_wait_ns.inc(wait_ns)
-            self._m_queue_wait_us.observe(wait_ns / 1e3)
+            m_queue_wait_ns.inc(wait_ns)
+            m_queue_wait_us.observe(wait_ns / 1e3)
             ledger = self.masters[request.master]
             ledger.requests += 1
             ledger.wait_ns += wait_ns
@@ -319,12 +331,7 @@ class BankDramController:
             outcome, bank, row, open_before = device.bank_access(
                 request.addr, request.size, self.page_policy
             )
-            if outcome == "hit":
-                self._m_row_hits.inc()
-            elif outcome == "miss":
-                self._m_row_misses.inc()
-            else:
-                self._m_row_conflicts.inc()
+            m_outcome[outcome].inc()
             if self.monitor is not None:
                 self.monitor.on_dram_access(
                     self, request, bank, row, outcome, open_before, stall_ns
@@ -334,7 +341,7 @@ class BankDramController:
             fault_ns = 0.0
             if self.fault_latency_ns is not None:
                 fault_ns = max(0.0, self.fault_latency_ns(request))
-            yield self.sim.timeout(stall_ns + access + transfer + fault_ns)
+            yield sim.timeout(stall_ns + access + transfer + fault_ns)
 
             if request.is_write:
                 assert request.data is not None
@@ -352,8 +359,9 @@ class BankDramController:
             ledger.bytes += request.size
             self._m_master_bytes[request.master].inc(request.size)
             self.requests_served += 1
-            self._m_requests.inc()
-            self.busy_ns += self.sim.now - started
-            self._m_service_us.observe((self.sim.now - started) / 1e3)
-            self._service_end_ns = self.sim.now
+            m_requests.inc()
+            service_ns = sim.now - started
+            self.busy_ns += service_ns
+            m_service_us.observe(service_ns / 1e3)
+            self._service_end_ns = sim.now
             request.done.succeed(request.read_data)

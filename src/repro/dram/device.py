@@ -120,6 +120,7 @@ class DramDevice:
     # -- data -----------------------------------------------------------------
     def store(self, addr: int, data: bytes) -> None:
         self._bounds(addr, len(data))
+        view = memoryview(data)  # page-sized slices without copies
         offset = 0
         while offset < len(data):
             page_index, page_offset = divmod(addr + offset, self._PAGE)
@@ -127,11 +128,18 @@ class DramDevice:
             page = self._pages.get(page_index)
             if page is None:
                 page = self._pages[page_index] = bytearray(self._PAGE)
-            page[page_offset : page_offset + chunk] = data[offset : offset + chunk]
+            page[page_offset : page_offset + chunk] = view[offset : offset + chunk]
             offset += chunk
 
     def load(self, addr: int, size: int) -> bytes:
         self._bounds(addr, size)
+        page_index, page_offset = divmod(addr, self._PAGE)
+        if page_offset + size <= self._PAGE:
+            # A burst inside one page (every aligned DMA burst): one copy.
+            page = self._pages.get(page_index)
+            if page is None:
+                return bytes(size)
+            return bytes(memoryview(page)[page_offset : page_offset + size])
         out = bytearray(size)
         offset = 0
         while offset < size:

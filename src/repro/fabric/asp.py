@@ -26,7 +26,6 @@ different (and realistically compressible) bitstreams.
 
 from __future__ import annotations
 
-import itertools
 import struct
 
 from typing import List, Optional, Sequence, Tuple
@@ -324,8 +323,9 @@ def _xorshift_jump_tables(steps: int) -> List[List[int]]:
     return tables
 
 
-def _fill_words_numpy(header: List[int], words_total: int, seed: int) -> List[int]:
-    """Vectorised equivalent of the scalar fill loop in encode_asp_frames.
+def _fill_packed_numpy(header: List[int], words_total: int, seed: int) -> bytes:
+    """Vectorised equivalent of the scalar fill loop in encode_asp_packed,
+    returned as packed little-endian bytes.
 
     The walk consumes one xorshift state per word, plus one more for every
     written word (states divisible by 4 trigger a second advance whose
@@ -369,11 +369,10 @@ def _fill_words_numpy(header: List[int], words_total: int, seed: int) -> List[in
     inspected = _np.where(mask, triggers, ~prev_trigger)
     ranks = _np.cumsum(inspected)  # 1-based word number per position
     write_at = _np.nonzero(triggers & (ranks <= n))[0]
-    out = _np.zeros(words_total, dtype=_np.uint32)
+    out = _np.zeros(words_total, dtype="<u4")
     out[len(header) + ranks[write_at] - 1] = walk[write_at + 1]
-    words = out.tolist()
-    words[: len(header)] = header
-    return words
+    out[: len(header)] = header
+    return out.tobytes()
 
 
 _ENCODE_CACHE: dict = {}
@@ -384,14 +383,37 @@ def encode_asp_frames(frame_count: int, asp: Asp) -> List[List[int]]:
 
     Frame 0 carries the header and parameters; the rest is deterministic
     pseudo-random fill (~25 % non-zero) seeded by the parameters, standing
-    in for LUT/routing configuration.
+    in for LUT/routing configuration.  The word lists are unpacked from
+    :func:`encode_asp_packed`, the form builds use.
 
     Encoding is deterministic, so results are memoised; treat the returned
     frames as read-only.
     """
+    cache_key = (frame_count, asp.kind, tuple(asp.params()))
+    cached = _ENCODE_CACHE.get(cache_key)
+    if cached is not None:
+        return cached
+    words_total = frame_count * FRAME_WORDS
+    words = list(struct.unpack(f"<{words_total}I", encode_asp_packed(frame_count, asp)))
+    frames = [words[i : i + FRAME_WORDS] for i in range(0, words_total, FRAME_WORDS)]
+    _ENCODE_CACHE[cache_key] = frames
+    return frames
+
+
+_ENCODE_PACKED_CACHE: dict = {}
+
+
+def encode_asp_packed(frame_count: int, asp: Asp) -> bytes:
+    """The frames of :func:`encode_asp_frames` as one packed little-endian
+    byte string (``FRAME_WORDS`` words per frame, in frame order).
+
+    The byte form the configuration-memory slab stores and bitstream
+    builds consume: the vectorised fill writes it directly, with no
+    per-word list in between.  Memoised; treat the result as read-only.
+    """
     params = asp.params()
     cache_key = (frame_count, asp.kind, tuple(params))
-    cached = _ENCODE_CACHE.get(cache_key)
+    cached = _ENCODE_PACKED_CACHE.get(cache_key)
     if cached is not None:
         return cached
     header = [ASP_MAGIC, asp.kind, len(params)] + [p & _MASK32 for p in params]
@@ -404,7 +426,7 @@ def encode_asp_frames(frame_count: int, asp: Asp) -> List[List[int]]:
     # tests compare both).
     seed = crc32c_words([asp.kind] + params) or 0xDEADBEEF
     if _np is not None and words_total - len(header) >= 4096:
-        words = _fill_words_numpy(header, words_total, seed)
+        packed = _fill_packed_numpy(header, words_total, seed)
     else:
         words = header + [0] * (words_total - len(header))
         # The xorshift steps are inlined: this loop runs >130 k times per
@@ -420,31 +442,7 @@ def encode_asp_frames(frame_count: int, asp: Asp) -> List[List[int]]:
                 state ^= state >> 17
                 state = (state ^ (state << 5)) & mask
                 words[i] = state
-
-    frames = [words[i : i + FRAME_WORDS] for i in range(0, words_total, FRAME_WORDS)]
-    _ENCODE_CACHE[cache_key] = frames
-    return frames
-
-
-_ENCODE_PACKED_CACHE: dict = {}
-
-
-def encode_asp_packed(frame_count: int, asp: Asp) -> bytes:
-    """:func:`encode_asp_frames` as one packed little-endian byte string.
-
-    The byte form the configuration-memory slab stores, memoised
-    separately so golden-image comparison and region-CRC computation skip
-    per-word packing on every campaign case.
-    """
-    cache_key = (frame_count, asp.kind, tuple(asp.params()))
-    cached = _ENCODE_PACKED_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    frames = encode_asp_frames(frame_count, asp)
-    packed = struct.pack(
-        f"<{frame_count * FRAME_WORDS}I",
-        *itertools.chain.from_iterable(frames),
-    )
+        packed = struct.pack(f"<{words_total}I", *words)
     _ENCODE_PACKED_CACHE[cache_key] = packed
     return packed
 

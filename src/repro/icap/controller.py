@@ -120,42 +120,51 @@ class IcapController:
         self._m_aborts.inc()
 
     def _consume(self):
+        sim = self.sim
+        clock = self.clock
+        stream = self.stream
+        port = self.port
+        busy = self.busy
+        done = self.done
+        m_words = self._m_words
+        m_bursts = self._m_bursts
         while True:
-            wait_started_ns = self.sim.now
-            burst = yield self.stream.pop()
-            if self.busy.value:
+            wait_started_ns = sim.now
+            burst = yield stream.pop()
+            if busy.value:
                 # Mid-transfer wait for the next burst: the stream side
                 # starved the ICAP — count it in over-clock cycles.
                 self._m_stall_cycles.inc(
-                    self.clock.ns_to_cycles(self.sim.now - wait_started_ns)
+                    clock.ns_to_cycles(sim.now - wait_started_ns)
                 )
-            self.busy.set(True)
+            busy.set(True)
             # busy and done are mutually exclusive: an SG descriptor
             # chain starts its next bitstream without a begin_transfer,
             # so the previous segment's desync flag drops here.
-            self.done.set(False)
+            done.set(False)
             if self.fault_lockup_cycles is not None:
                 lockup = max(0, int(self.fault_lockup_cycles()))
                 if lockup:
                     self._m_lockup_cycles.inc(lockup)
-                    yield self.clock.wait_cycles(lockup)
+                    yield clock.wait_cycles(lockup)
             words = burst.words
+            count = len(words)
             # One word per clock cycle through the ICAP.
-            yield self.clock.wait_cycles(len(words))
+            yield clock.wait_cycles(count)
             if self.word_corruptor is not None:
                 original = words
                 words = self.word_corruptor(words)
                 self._m_corrupted.inc(sum(map(operator.ne, original, words)))
             if self.monitor is not None:
                 self.monitor.on_icap_words(self, len(words))
-            self.port.feed_words(words)
+            port.feed_words(words)
             self.words_consumed += len(words)
-            self._m_words.inc(len(words))
-            self._m_bursts.inc()
-            self.stream.release(len(burst.words))
+            m_words.inc(len(words))
+            m_bursts.inc()
+            stream.release(count)
             if burst.last:
-                self.busy.set(False)
-                if self.port.desynced:
-                    self.done.set(True)
-                if self.port.has_error:
+                busy.set(False)
+                if port.desynced:
+                    done.set(True)
+                if port.has_error:
                     self.error_irq.assert_()

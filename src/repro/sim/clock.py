@@ -79,7 +79,9 @@ class ClockDomain:
         """Event firing after ``cycles`` clock cycles at the current rate."""
         if cycles < 0:
             raise SimulationError(f"cannot wait negative cycles ({cycles})")
-        return self.sim.timeout(self.cycles_to_ns(cycles))
+        # The per-burst wait of every clocked block: build the Timeout
+        # directly, with the same float product as ``cycles_to_ns``.
+        return Timeout(self.sim, cycles * (1e3 / self._freq_mhz))
 
     def tick(self) -> Timeout:
         """Event firing after exactly one cycle."""

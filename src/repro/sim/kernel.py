@@ -30,7 +30,7 @@ Typical use::
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from .errors import Deadlock, Interrupt, SchedulingError, SimulationError
@@ -57,7 +57,8 @@ class Event:
     *processed* (callbacks have run).  Events may only be triggered once.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_exc", "_processed", "name")
+    # ``__weakref__`` lets tests prove hot-path objects die by refcount.
+    __slots__ = ("sim", "callbacks", "_value", "_exc", "_processed", "name", "__weakref__")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -96,10 +97,17 @@ class Event:
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exc is not None:
             raise SchedulingError(f"event {self!r} already triggered")
         self._value = value
-        self.sim._enqueue(0.0, self)
+        # The hottest trigger in every model: push inline (what
+        # ``Simulator._enqueue(0.0, self)`` does, minus the call).
+        sim = self.sim
+        heap = sim._heap
+        sim._sequence += 1
+        heappush(heap, (sim._now, sim._sequence, self))
+        if len(heap) > sim.heap_high_water:
+            sim.heap_high_water = len(heap)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -140,14 +148,25 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SchedulingError(f"negative timeout delay {delay!r}")
-        # Timeouts are the hottest allocation in the kernel; skip the
-        # per-instance name f-string and render the delay in __repr__.
-        super().__init__(sim)
-        self.delay = delay
+        # ``not delay >= 0`` also rejects NaN, which would otherwise sit
+        # on the heap at an unorderable time; ``inf`` stays legal.
+        if not delay >= 0:
+            raise SchedulingError(f"invalid timeout delay {delay!r}")
+        # Timeouts are the hottest allocation in the kernel: set the
+        # Event fields and push onto the heap inline, with no per-instance
+        # name (the delay is rendered in __repr__ instead).
+        self.sim = sim
+        self.name = ""
+        self.callbacks = []
         self._value = value
-        self.sim._enqueue(delay, self)
+        self._exc = None
+        self._processed = False
+        self.delay = delay
+        heap = sim._heap
+        sim._sequence += 1
+        heappush(heap, (sim._now + delay, sim._sequence, self))
+        if len(heap) > sim.heap_high_water:
+            sim.heap_high_water = len(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -165,9 +184,12 @@ class _Resume:
     *same* timestamp, after everything currently scheduled there (FIFO).
     Allocating a full replay :class:`Event` for that is wasteful — this
     carries just the captured value/exception and the target process.
+    Interrupt delivery reuses it to carry the :class:`Interrupt` it throws.
     """
 
-    __slots__ = ("process", "value", "exc")
+    # ``_value``/``_exc`` mirror an Event's outcome fields, so
+    # :meth:`Process._resume` reads this entry exactly like an event.
+    __slots__ = ("process", "_value", "_exc")
 
     #: ``Process._deliver_interrupt`` checks ``target.callbacks is not None``
     #: before detaching a waiter; ``None`` here means there is nothing to
@@ -177,8 +199,8 @@ class _Resume:
 
     def __init__(self, process: "Process", value: Any, exc: Optional[BaseException]):
         self.process = process
-        self.value = value
-        self.exc = exc
+        self._value = value
+        self._exc = exc
 
     def _process(self) -> None:
         process = self.process
@@ -186,11 +208,7 @@ class _Resume:
             # The process was interrupted (or re-targeted) while this entry
             # sat on the heap; the resume is stale.
             return
-        process._waiting_on = None
-        if self.exc is not None:
-            process._step(throw=self.exc)
-        else:
-            process._step(send=self.value)
+        process._resume(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<resume:{self.process.name}>"
@@ -224,11 +242,16 @@ class Process(Event):
         #: toward deadlock detection: a run that leaves only daemons
         #: waiting has simply finished its workload.
         self.daemon = daemon
-        # Kick off the process at the current simulation time.
-        bootstrap = Event(sim, name=f"bootstrap:{self.name}")
+        # Kick off the process at the current simulation time: an unnamed
+        # bootstrap event, already triggered, pushed inline.
+        bootstrap = Event(sim)
         bootstrap.callbacks.append(self._resume)
         bootstrap._value = None
-        sim._enqueue(0.0, bootstrap)
+        heap = sim._heap
+        sim._sequence += 1
+        heappush(heap, (sim._now, sim._sequence, bootstrap))
+        if len(heap) > sim.heap_high_water:
+            sim.heap_high_water = len(heap)
         sim.processes_spawned += 1
         if not daemon:
             sim._live_processes += 1
@@ -270,24 +293,21 @@ class Process(Event):
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        self._waiting_on = None
-        self._step(throw=self._interrupts.pop(0))
+        self._resume(_Resume(self, None, self._interrupts.pop(0)))
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Any) -> None:
+        """Advance the generator with ``event``'s outcome: its value is
+        sent in, its exception thrown in.  ``event`` is the Event this
+        process waited on (this method is its callback) or a
+        :class:`_Resume` record carrying the outcome."""
         self._waiting_on = None
-        if event._exc is not None:
-            self._step(throw=event._exc)
-        else:
-            self._step(send=event._value)
-
-    def _step(self, send: Any = None, throw: Optional[BaseException] = None) -> None:
         sim = self.sim
         sim._active_process, previous = self, sim._active_process
         try:
-            if throw is not None:
-                target = self._generator.throw(throw)
+            if event._exc is not None:
+                target = self._generator.throw(event._exc)
             else:
-                target = self._generator.send(send)
+                target = self._generator.send(event._value)
         except StopIteration as stop:
             if not self.daemon:
                 sim._live_processes -= 1
@@ -479,10 +499,10 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
     def _enqueue(self, delay: float, event: Any) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SchedulingError(f"cannot schedule {delay!r} ns in the past")
         self._sequence += 1
-        heapq.heappush(self._heap, (self._now + delay, self._sequence, event))
+        heappush(self._heap, (self._now + delay, self._sequence, event))
         if len(self._heap) > self.heap_high_water:
             self.heap_high_water = len(self._heap)
 
@@ -491,7 +511,7 @@ class Simulator:
         """Process the single next event on the heap."""
         if not self._heap:
             raise Deadlock(self._live_processes)
-        when, _seq, event = heapq.heappop(self._heap)
+        when, _seq, event = heappop(self._heap)
         if self.monitor is not None:
             self.monitor.on_kernel_event(self, when, event)
         if when < self._now:  # pragma: no cover - guarded by _enqueue
@@ -511,7 +531,7 @@ class Simulator:
         # inspectable instead of silently dropping the rest.
         same_time = []
         while self._heap and self._heap[0][0] == self._now:
-            same_time.append(heapq.heappop(self._heap))
+            same_time.append(heappop(self._heap))
         for item in same_time:
             sibling = item[2]
             if (
@@ -522,7 +542,7 @@ class Simulator:
                 self.events_processed += 1
                 sibling._process()
             else:
-                heapq.heappush(self._heap, item)
+                heappush(self._heap, item)
         self.unhandled_failures.extend(self._unhandled)
         first = self._unhandled[0]
         self._unhandled.clear()
@@ -543,27 +563,31 @@ class Simulator:
         self._running = True
         try:
             if self.monitor is None:
-                # Batch dispatch: with no monitor attached (the compiled-out
-                # probe configuration, same contract as ``telemetry=False``)
-                # the per-event ``step()`` call collapses into a locals-bound
-                # loop that drains every event sharing a timestamp in one
-                # heap inspection.  Semantics — event order, processed
+                # Unmonitored dispatch: the per-event ``step()`` call
+                # collapses into a locals-bound loop, and plain
+                # Event/Timeout callbacks run here instead of through
+                # ``_process``.  Semantics — event order, processed
                 # counts, the unhandled-failure cascade, ``until`` boundary
                 # handling — are identical to repeated ``step()`` calls.
                 heap = self._heap
-                pop = heapq.heappop
                 while heap:
-                    when = heap[0][0]
-                    if until is not None and when > until:
+                    if until is not None and heap[0][0] > until:
                         self._now = until
                         return
-                    self._now = when
-                    while heap and heap[0][0] == when:
-                        event = pop(heap)[2]
-                        self.events_processed += 1
+                    self._now, _seq, event = heappop(heap)
+                    self.events_processed += 1
+                    kind = type(event)
+                    if kind is Timeout or kind is Event:
+                        callbacks = event.callbacks
+                        event.callbacks = None
+                        event._processed = True
+                        if callbacks:
+                            for callback in callbacks:
+                                callback(event)
+                    else:
                         event._process()
-                        if self._unhandled:
-                            self._raise_unhandled()
+                    if self._unhandled:
+                        self._raise_unhandled()
             else:
                 while self._heap:
                     if until is not None and self._heap[0][0] > until:
@@ -592,25 +616,29 @@ class Simulator:
         self._running = True
         try:
             if self.monitor is None:
-                # Same batch fast path as :meth:`run`; the target-event
-                # check stays per dispatched event so the loop stops at
-                # exactly the same point as repeated ``step()`` calls
-                # (later same-timestamp events remain on the heap).
+                # Same dispatch loop as :meth:`run`; the target-event
+                # check (``triggered``, read from the fields) stays per
+                # dispatched event so the loop stops at exactly the same
+                # point as repeated ``step()`` calls (later
+                # same-timestamp events remain on the heap).
                 heap = self._heap
-                pop = heapq.heappop
-                while not event.triggered:
+                while event._value is _PENDING and event._exc is None:
                     if not heap:
                         raise Deadlock(self._live_processes)
-                    when = heap[0][0]
-                    self._now = when
-                    while heap and heap[0][0] == when:
-                        dispatched = pop(heap)[2]
-                        self.events_processed += 1
+                    self._now, _seq, dispatched = heappop(heap)
+                    self.events_processed += 1
+                    kind = type(dispatched)
+                    if kind is Timeout or kind is Event:
+                        callbacks = dispatched.callbacks
+                        dispatched.callbacks = None
+                        dispatched._processed = True
+                        if callbacks:
+                            for callback in callbacks:
+                                callback(dispatched)
+                    else:
                         dispatched._process()
-                        if self._unhandled:
-                            self._raise_unhandled()
-                        if event.triggered:
-                            break
+                    if self._unhandled:
+                        self._raise_unhandled()
             else:
                 while not event.triggered:
                     if not self._heap:

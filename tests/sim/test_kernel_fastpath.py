@@ -1,5 +1,10 @@
 """Edge cases of the kernel fast path: already-processed resume,
-run_until after Deadlock, event accounting, interrupt-vs-resume races."""
+run_until after Deadlock, event accounting, interrupt-vs-resume races,
+invalid delays and reference cycles on the hot path."""
+
+import gc
+import math
+import weakref
 
 import pytest
 
@@ -226,3 +231,55 @@ def test_yield_non_event_still_rejected():
     sim.process(bad(sim))
     with pytest.raises(SimulationError):
         sim.run()
+
+
+def test_nan_timeout_is_rejected_at_creation():
+    # NaN compares false against everything, so ``delay < 0`` let it
+    # through and the unmonitored loop then spun forever on the heap.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.timeout(float("nan"))
+    with pytest.raises(SimulationError):
+        sim._enqueue(float("nan"), sim.event())
+    assert not sim._heap
+
+
+def test_infinite_timeout_stays_legal():
+    sim = Simulator()
+    timeout = sim.timeout(math.inf)
+    assert sim.peek() == math.inf
+    sim.run(until=10.0)
+    assert not timeout.processed
+
+
+def test_hot_path_objects_are_freed_by_refcount_alone():
+    """A finished process, its generator and a fired timeout hold no
+    reference cycle: with the cyclic collector off they still die."""
+    sim = Simulator()
+    refs = {}
+
+    def body(sim):
+        timeout = sim.timeout(5.0)
+        refs["timeout"] = weakref.ref(timeout)
+        yield timeout
+        yield sim.timeout(1.0)
+        return "done"
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        generator = body(sim)
+        refs["generator"] = weakref.ref(generator)
+        process = sim.process(generator)
+        refs["process"] = weakref.ref(process)
+        assert sim.run_until(process) == "done"
+        sim.run()
+        del generator, process
+        assert {name: ref() for name, ref in refs.items()} == {
+            "timeout": None,
+            "generator": None,
+            "process": None,
+        }
+    finally:
+        if enabled:
+            gc.enable()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
-from ..dram import DramController
+from ..dram import BankDramController
 from ..obs import MetricsRegistry
 from ..sim import Event, Simulator
 
@@ -55,7 +55,7 @@ class AxiInterconnect:
     def __init__(
         self,
         sim: Simulator,
-        controller: DramController,
+        controller: BankDramController,
         forward_latency_ns: float = 160.0,
         name: str = "axi_ic",
         metrics: Optional[MetricsRegistry] = None,

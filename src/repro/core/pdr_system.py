@@ -18,8 +18,6 @@ the same observables as the paper's Table I rows.
 
 from __future__ import annotations
 
-import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -41,14 +39,7 @@ from ..dma import (
     MM2S_LENGTH,
     MM2S_SA,
 )
-from ..dram import (
-    BankDramController,
-    BankTiming,
-    DdrTiming,
-    DramController,
-    DramDevice,
-    REFRESH_MODES,
-)
+from ..dram import BankDramController, BankTiming, DramDevice
 from ..fabric import Asp, ConfigMemory, RpRegion, encode_asp_packed
 from ..icap import IcapController
 from ..obs import TELEMETRY_BOOK, MetricsRegistry, NullMetricsRegistry, SpanRecorder
@@ -110,24 +101,16 @@ class PdrSystemConfig:
     #: probe-overhead benchmark (``benchmarks/test_bench_obs.py``)
     #: measures this flag's worth.
     telemetry: bool = True
-    #: DDR controller model: ``"bank"`` (bank machines + command
-    #: multiplexer, the default) or ``"flat"`` (legacy single-queue FIFO
-    #: server).  The ``REPRO_DRAM`` environment variable overrides this
-    #: at construction time — the kill switch back to the legacy model.
-    dram_model: str = "bank"
     #: Row-buffer policy for the bank model: ``"open"`` keeps rows open
     #: (sequential streams hit), ``"closed"`` auto-precharges every access.
     dram_page_policy: str = "open"
-    #: Refresh accounting: ``"lazy"`` (legacy-compatible: refreshes in
-    #: idle gaps are free, at most one tRFC per busy period), ``"engine"``
-    #: (deterministic tREFI/tRFC bus-stealing engine) or ``"off"``.  The
-    #: ``REPRO_DRAM_REFRESH`` environment variable overrides this at
-    #: construction time (refresh-jitter A/B runs over campaigns that
-    #: build their config internally, e.g. the chaos soak).
+    #: Refresh accounting: ``"lazy"`` (refreshes in idle gaps are free,
+    #: at most one tRFC per busy period), ``"engine"`` (deterministic
+    #: tREFI/tRFC bus-stealing engine) or ``"off"``.
     dram_refresh_mode: str = "lazy"
-    #: Decomposed DDR command timings (ns).  Defaults reproduce the
-    #: legacy lumped figures: hit = tCAS = 202, miss = tRCD + tCAS = 302,
-    #: conflict adds tRP (0 by default — precharge folded into activate).
+    #: DDR command timings (ns), end to end at the controller port:
+    #: hit = tCAS = 202, miss = tRCD + tCAS = 302, conflict adds tRP
+    #: (0 by default — precharge folded into activate).
     dram_tcas_ns: float = 202.0
     dram_trcd_ns: float = 100.0
     dram_trp_ns: float = 0.0
@@ -175,45 +158,21 @@ class PdrSystem:
 
         # ---- PS memory system ---------------------------------------------
         cfg = self.config
-        dram_model = os.environ.get("REPRO_DRAM") or cfg.dram_model
-        if dram_model not in ("bank", "flat"):
-            raise ValueError(f"dram_model must be 'bank' or 'flat', got {dram_model!r}")
-        self.dram_model = dram_model
-        refresh_mode = (
-            os.environ.get("REPRO_DRAM_REFRESH") or cfg.dram_refresh_mode
+        self.dram = DramDevice()
+        self.dram_controller = BankDramController(
+            sim,
+            self.dram,
+            metrics=self.metrics,
+            timing=BankTiming(
+                tcas_ns=cfg.dram_tcas_ns,
+                trcd_ns=cfg.dram_trcd_ns,
+                trp_ns=cfg.dram_trp_ns,
+                trefi_ns=cfg.dram_trefi_ns,
+                trfc_ns=cfg.dram_trfc_ns,
+            ),
+            page_policy=cfg.dram_page_policy,
+            refresh_mode=cfg.dram_refresh_mode,
         )
-        if refresh_mode not in REFRESH_MODES:
-            raise ValueError(
-                f"refresh mode must be one of {REFRESH_MODES}, got {refresh_mode!r}"
-            )
-        refresh_off = refresh_mode == "off"
-        self.dram = DramDevice(
-            timing=DdrTiming(
-                row_hit_ns=cfg.dram_tcas_ns,
-                row_miss_ns=cfg.dram_trcd_ns + cfg.dram_tcas_ns,
-                refresh_interval_ns=math.inf if refresh_off else cfg.dram_trefi_ns,
-                refresh_stall_ns=cfg.dram_trfc_ns,
-            )
-        )
-        if dram_model == "flat":
-            self.dram_controller = DramController(
-                sim, self.dram, metrics=self.metrics
-            )
-        else:
-            self.dram_controller = BankDramController(
-                sim,
-                self.dram,
-                metrics=self.metrics,
-                timing=BankTiming(
-                    tcas_ns=cfg.dram_tcas_ns,
-                    trcd_ns=cfg.dram_trcd_ns,
-                    trp_ns=cfg.dram_trp_ns,
-                    trefi_ns=cfg.dram_trefi_ns,
-                    trfc_ns=cfg.dram_trfc_ns,
-                ),
-                page_policy=cfg.dram_page_policy,
-                refresh_mode=refresh_mode,
-            )
         self.interconnect = AxiInterconnect(
             sim, self.dram_controller, metrics=self.metrics
         )

@@ -1,13 +1,10 @@
 """DDR3 DRAM device + controller models (the PS memory system).
 
-Two controllers share one device model and one master-facing API:
-
-* :class:`BankDramController` (default) — bank machines with an
-  open-/closed-page policy, a deterministic refresh engine, and a
-  round-robin command multiplexer over per-master queues.
-* :class:`DramController` (legacy) — the flat-latency FIFO server,
-  kept as the ``REPRO_DRAM=flat`` / ``dram_model="flat"`` kill switch
-  and differential baseline.
+* :class:`DramDevice` — data rate, geometry, per-bank open-row state
+  and a sparse backing store.
+* :class:`BankDramController` — bank machines with an open-/closed-page
+  policy, a refresh engine, and a round-robin command multiplexer over
+  per-master queues; command latencies come from :class:`BankTiming`.
 """
 
 from .bank import (
@@ -15,15 +12,15 @@ from .bank import (
     REFRESH_MODES,
     BankDramController,
     BankTiming,
+    MasterLedger,
+    MemoryRequest,
 )
-from .controller import DramController, MasterLedger, MemoryRequest
 from .device import DdrTiming, DramDevice
 
 __all__ = [
     "BankDramController",
     "BankTiming",
     "DdrTiming",
-    "DramController",
     "DramDevice",
     "MasterLedger",
     "MemoryRequest",

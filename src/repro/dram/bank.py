@@ -1,8 +1,9 @@
 """Bank-aware DDR controller: bank machines, refresh engine, multiplexer.
 
-Replaces the flat-latency FIFO server as the default PS memory
-controller.  Three cooperating pieces, mirroring a real DDR controller's
-split (and the gram-style decomposition named in ROADMAP.md):
+The PS memory controller every bitstream byte crosses on its way from
+DDR to the ICAP.  Three cooperating pieces, mirroring a real DDR
+controller's split (and the gram-style decomposition named in
+ROADMAP.md):
 
 * **Bank machines** — per-bank open-row state lives in
   :class:`~repro.dram.device.DramDevice` (so snapshot fork/restore
@@ -26,10 +27,10 @@ split (and the gram-style decomposition named in ROADMAP.md):
   at ``max(due, previous refresh end, last service end)``, and any
   request arriving while the engine holds the bus stalls for the
   remainder (counted in ``refresh_stall_ns``).  ``refresh_mode="lazy"``
-  reproduces the legacy flat controller's cheaper accounting (refreshes
-  that fell in idle gaps are free; at most one tRFC charged per busy
-  period) — it is the default so the seed campaigns stay byte-identical.
-  ``refresh_mode="off"`` disables refresh entirely.
+  is the cheaper default accounting the paper campaigns are calibrated
+  with: refreshes that fell in idle gaps are free, and at most one tRFC
+  is charged per busy period.  ``refresh_mode="off"`` disables refresh
+  entirely.
 
 * **Command multiplexer** — per-master FIFO queues drained round-robin
   onto the single shared command/data bus.  One burst occupies the bus
@@ -38,36 +39,63 @@ split (and the gram-style decomposition named in ROADMAP.md):
   memory-path bottleneck comes from.  Per-master bytes / wait ledgers
   feed the crossbar's bandwidth accounting.
 
-Calibration note: the defaults (tCAS 202, tRCD 100, **tRP 0**) decompose
-the legacy lumped latencies — row hit 202 ns, row miss 302 ns — which
-already folded precharge into the activate figure, so by default
-conflict == miss == 302 ns and every access pattern times identically to
-the flat model.  Set ``dram_trp_ns`` (e.g. 100 ns) for a distinct
-conflict penalty, as the contention campaign does.
+Calibration note: the defaults (tCAS 202, tRCD 100, **tRP 0**) are
+end-to-end figures at the controller port — row hit 202 ns, row miss
+302 ns — with precharge folded into the activate figure, so by default
+conflict == miss == 302 ns.  They are calibrated so the full HP-port
+path matches the paper's measured memory-side bandwidth (DESIGN.md §5).
+Set ``dram_trp_ns`` (e.g. 100 ns) for a distinct conflict penalty, as
+the contention campaign does.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..obs import MetricsRegistry
 from ..sim import Event, Simulator
 
-from .controller import MasterLedger, MemoryRequest
 from .device import DramDevice
 
 __all__ = [
     "BankDramController",
     "BankTiming",
     "MasterLedger",
+    "MemoryRequest",
     "PAGE_POLICIES",
     "REFRESH_MODES",
 ]
 
 PAGE_POLICIES = ("open", "closed")
 REFRESH_MODES = ("off", "lazy", "engine")
+
+
+@dataclass
+class MasterLedger:
+    """Per-master traffic accounting at the DDR controller."""
+
+    requests: int = 0
+    bytes: int = 0
+    wait_ns: float = 0.0
+
+
+@dataclass
+class MemoryRequest:
+    """One burst request as issued by an AXI master."""
+
+    addr: int
+    size: int
+    is_write: bool = False
+    data: Optional[bytes] = None
+    #: Filled by the controller for reads.
+    read_data: Optional[bytes] = field(default=None, repr=False)
+    done: Optional[Event] = None
+    #: Submission time, for queue-wait accounting.
+    submitted_ns: float = 0.0
+    #: Issuing master (crossbar routing tag + per-master accounting).
+    master: str = "m0"
 
 
 @dataclass(frozen=True)
@@ -78,7 +106,7 @@ class BankTiming:
     tcas_ns: float = 202.0
     #: ACTIVATE-to-CAS (row open) latency.
     trcd_ns: float = 100.0
-    #: PRECHARGE (row close) latency.  0 by default: the legacy lumped
+    #: PRECHARGE (row close) latency.  0 by default: the calibrated
     #: row-miss figure already folds precharge into activate.
     trp_ns: float = 0.0
     #: Average refresh interval — one refresh is due every tREFI.
@@ -109,11 +137,9 @@ class BankTiming:
 class BankDramController:
     """Bank-aware DDR controller with a multi-master command multiplexer.
 
-    API-compatible with the legacy :class:`~repro.dram.controller.
-    DramController` (``read``/``write`` returning completion events, the
-    same chaos fault hooks), plus a ``master=`` tag that routes each
-    burst into its own queue for round-robin arbitration and per-master
-    accounting.
+    ``read``/``write`` return completion events; the ``master=`` tag
+    routes each burst into its own queue for round-robin arbitration and
+    per-master accounting.
     """
 
     def __init__(
@@ -127,9 +153,13 @@ class BankDramController:
         refresh_mode: str = "lazy",
     ):
         if page_policy not in PAGE_POLICIES:
-            raise ValueError(f"page_policy must be one of {PAGE_POLICIES}")
+            raise ValueError(
+                f"page_policy must be one of {PAGE_POLICIES}, got {page_policy!r}"
+            )
         if refresh_mode not in REFRESH_MODES:
-            raise ValueError(f"refresh_mode must be one of {REFRESH_MODES}")
+            raise ValueError(
+                f"refresh_mode must be one of {REFRESH_MODES}, got {refresh_mode!r}"
+            )
         self.sim = sim
         self.device = device or DramDevice()
         self.name = name
@@ -149,7 +179,7 @@ class BankDramController:
         self.refresh_stall_ns = 0.0
         self.refreshes_completed = 0
         self.masters: Dict[str, MasterLedger] = {}
-        # Lazy-refresh state (legacy accounting).
+        # Lazy-refresh state.
         self._last_refresh_ns = 0.0
         # Engine-refresh state: next due time, bus-held-until, last
         # service end (a refresh can't preempt an in-flight burst).
@@ -172,8 +202,12 @@ class BankDramController:
         self._m_master_bytes: Dict[str, object] = {}
         self._m_master_wait: Dict[str, object] = {}
         self._m_queue_depth.set(0.0)
-        #: Optional fault hooks — same contract as the legacy controller
-        #: (installed unchanged by :mod:`repro.chaos`).
+        #: Optional fault hooks (installed by :mod:`repro.chaos`).
+        #: ``fault_latency_ns(request)`` adds service latency to one
+        #: request (a latency spike); ``fault_read_tamper(request, data)``
+        #: may return altered read data (an in-flight bit flip).  Both are
+        #: consulted on the server path only — the backing store itself is
+        #: never modified, matching transient DRAM/link faults.
         self.fault_latency_ns: Optional[Callable[[MemoryRequest], float]] = None
         self.fault_read_tamper: Optional[
             Callable[[MemoryRequest, bytes], bytes]

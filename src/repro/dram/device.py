@@ -1,11 +1,10 @@
-"""DDR3 SDRAM device timing model.
+"""DDR3 SDRAM device model: geometry, bank/row state and backing store.
 
 Models the Zynq PS DDR3 (32-bit DDR3-1066): a peak data rate of
-~4 264 MB/s and bank/row state, so sequential bursts mostly hit open rows
-while scattered accesses pay the activate+precharge penalty.  Latencies
-are lumped end-to-end values as seen from the DDR controller port (they
-include controller queuing), calibrated so the full HP-port path matches
-the paper's measured memory-side bandwidth (see DESIGN.md §5).
+~4 264 MB/s and per-bank open-row state, so sequential bursts mostly hit
+open rows while scattered accesses pay the activate (and precharge)
+penalty.  The command latencies themselves live in
+:class:`~repro.dram.bank.BankTiming`, owned by the controller.
 """
 
 from __future__ import annotations
@@ -18,28 +17,21 @@ __all__ = ["DdrTiming", "DramDevice"]
 
 @dataclass(frozen=True)
 class DdrTiming:
-    """Lumped DDR timing parameters (ns unless noted)."""
+    """DDR data rate and geometry."""
 
     #: Peak data rate in bytes/ns (32-bit DDR3-1066 = 4.264 GB/s).
     peak_bytes_per_ns: float = 4.264
-    #: End-to-end access latency when the target row is already open.
-    row_hit_ns: float = 202.0
-    #: Access latency when a new row must be activated.
-    row_miss_ns: float = 302.0
     #: Bytes per DRAM row (page size x device width).
     row_bytes: int = 8192
     #: Number of banks (rows stay open per bank).
     banks: int = 8
-    #: Refresh: one row refresh every tREFI, stalling the device.
-    refresh_interval_ns: float = 7800.0
-    refresh_stall_ns: float = 160.0
 
 
 class DramDevice:
     """Bank/row state + a backing byte store.
 
-    The device is passive: :class:`~repro.dram.controller.DramController`
-    drives :meth:`access_latency_ns` for timing and the load/store methods
+    The device is passive: :class:`~repro.dram.bank.BankDramController`
+    drives :meth:`bank_access` for row state and the load/store methods
     for data.  Storage is sparse (dict of 4 KiB pages) because the Zynq's
     512 MB DRAM is mostly untouched in any one experiment.
     """
@@ -56,19 +48,6 @@ class DramDevice:
         self.row_hits = 0
         self.row_misses = 0
         self.row_conflicts = 0
-
-    # -- timing -------------------------------------------------------------
-    def access_latency_ns(self, addr: int, size: int) -> float:
-        """Access latency for a burst at ``addr`` (updates row state)."""
-        self._bounds(addr, size)
-        row = addr // self.timing.row_bytes
-        bank = row % self.timing.banks
-        if self._open_rows.get(bank) == row:
-            self.row_hits += 1
-            return self.timing.row_hit_ns
-        self._open_rows[bank] = row
-        self.row_misses += 1
-        return self.timing.row_miss_ns
 
     # -- bank machine -------------------------------------------------------
     def bank_of(self, addr: int) -> int:
@@ -87,8 +66,8 @@ class DramDevice:
         only) or ``"conflict"`` (a different row was open — PRECHARGE then
         ACTIVATE).  Under the closed-page policy every access auto-
         precharges, so no row is ever left open and every access is a
-        miss.  The bank-aware controller derives latency from the outcome;
-        this method owns the state so snapshot fork/restore carries
+        miss.  The controller derives latency from the outcome; this
+        method owns the state so snapshot fork/restore carries
         bank/row history with the device.
         """
         self._bounds(addr, size)

@@ -15,7 +15,7 @@ ICAP/stream rate 4 B/cycle            ``repro.icap.controller`` (1 word/cycle)
 DMA burst 1 KiB, cmd gap 10 cycles    ``repro.dma.engine.AxiDmaEngine``
 HP port 64 bit @ 150 MHz              ``repro.axi.ports.AxiHpPort``
 interconnect forward 160 ns           ``repro.axi.interconnect.AxiInterconnect``
-DDR row hit/miss 202/302 ns           ``repro.dram.device.DdrTiming``
+DDR row hit/miss 202/302 ns           ``repro.dram.bank.BankTiming``
 driver setup 1.9 µs                   ``repro.core.pdr_system.PdrSystemConfig``
 control path fmax(40°C) 305 MHz       ``repro.timing.model.default_timing_model``
 data path fmax(40°C) 315 MHz          ``repro.timing.model.default_timing_model``

@@ -562,38 +562,35 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
         try:
-            if self.monitor is None:
-                # Unmonitored dispatch: the per-event ``step()`` call
-                # collapses into a locals-bound loop, and plain
-                # Event/Timeout callbacks run here instead of through
-                # ``_process``.  Semantics — event order, processed
-                # counts, the unhandled-failure cascade, ``until`` boundary
-                # handling — are identical to repeated ``step()`` calls.
-                heap = self._heap
-                while heap:
-                    if until is not None and heap[0][0] > until:
-                        self._now = until
-                        return
-                    self._now, _seq, event = heappop(heap)
-                    self.events_processed += 1
-                    kind = type(event)
-                    if kind is Timeout or kind is Event:
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        event._processed = True
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(event)
-                    else:
-                        event._process()
-                    if self._unhandled:
-                        self._raise_unhandled()
-            else:
-                while self._heap:
-                    if until is not None and self._heap[0][0] > until:
-                        self._now = until
-                        return
-                    self.step()
+            # The per-event ``step()`` call collapses into a locals-bound
+            # loop, and plain Event/Timeout callbacks run here instead of
+            # through ``_process``.  Semantics — event order, processed
+            # counts, the monitor probe, the unhandled-failure cascade,
+            # ``until`` boundary handling — are identical to repeated
+            # ``step()`` calls.
+            heap = self._heap
+            monitor = self.monitor
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    self._now = until
+                    return
+                when, _seq, event = heappop(heap)
+                if monitor is not None:
+                    monitor.on_kernel_event(self, when, event)
+                self._now = when
+                self.events_processed += 1
+                kind = type(event)
+                if kind is Timeout or kind is Event:
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    event._processed = True
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(event)
+                else:
+                    event._process()
+                if self._unhandled:
+                    self._raise_unhandled()
             # A bounded run may legitimately drain the heap while processes
             # wait on external stimulus (the caller pokes the model and runs
             # again); only an unbounded run can never wake them.
@@ -615,37 +612,33 @@ class Simulator:
             event.callbacks.append(lambda _event: None)
         self._running = True
         try:
-            if self.monitor is None:
-                # Same dispatch loop as :meth:`run`; the target-event
-                # check (``triggered``, read from the fields) stays per
-                # dispatched event so the loop stops at exactly the same
-                # point as repeated ``step()`` calls (later
-                # same-timestamp events remain on the heap).
-                heap = self._heap
-                while event._value is _PENDING and event._exc is None:
-                    if not heap:
-                        raise Deadlock(self._live_processes)
-                    self._now, _seq, dispatched = heappop(heap)
-                    self.events_processed += 1
-                    kind = type(dispatched)
-                    if kind is Timeout or kind is Event:
-                        callbacks = dispatched.callbacks
-                        dispatched.callbacks = None
-                        dispatched._processed = True
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(dispatched)
-                    else:
-                        dispatched._process()
-                    if self._unhandled:
-                        self._raise_unhandled()
-            else:
-                while not event.triggered:
-                    if not self._heap:
-                        raise Deadlock(self._live_processes)
-                    self.step()
-            # Drain remaining same-timestamp bookkeeping for determinism of
-            # repeated run_until calls.
+            # Same dispatch loop as :meth:`run`; the target-event check
+            # (``triggered``, read from the fields) stays per dispatched
+            # event so the loop stops at exactly the same point as
+            # repeated ``step()`` calls (later same-timestamp events
+            # remain on the heap).
+            heap = self._heap
+            monitor = self.monitor
+            while event._value is _PENDING and event._exc is None:
+                if not heap:
+                    raise Deadlock(self._live_processes)
+                when, _seq, dispatched = heappop(heap)
+                if monitor is not None:
+                    monitor.on_kernel_event(self, when, dispatched)
+                self._now = when
+                self.events_processed += 1
+                kind = type(dispatched)
+                if kind is Timeout or kind is Event:
+                    callbacks = dispatched.callbacks
+                    dispatched.callbacks = None
+                    dispatched._processed = True
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(dispatched)
+                else:
+                    dispatched._process()
+                if self._unhandled:
+                    self._raise_unhandled()
             return event.value
         finally:
             self._running = False

@@ -26,7 +26,7 @@ from ..bitstream import (
     crc32c_words,
     make_z7020_layout,
 )
-from ..dram import DramController, DramDevice
+from ..dram import BankDramController, DramDevice
 from ..fabric import Asp, ConfigMemory, RpRegion, encode_asp_frames
 from ..obs import TELEMETRY_BOOK, MetricsRegistry
 from ..sim import ClockDomain, Simulator
@@ -78,7 +78,7 @@ class SramPrSystem:
         self.builder = BitstreamBuilder(self.layout)
 
         self.dram = DramDevice()
-        self.dram_controller = DramController(sim, self.dram, metrics=self.metrics)
+        self.dram_controller = BankDramController(sim, self.dram, metrics=self.metrics)
         self.interconnect = AxiInterconnect(
             sim, self.dram_controller, metrics=self.metrics
         )

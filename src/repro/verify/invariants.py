@@ -140,7 +140,7 @@ class InvariantMonitor:
 
     # -- kernel -----------------------------------------------------------------
     def on_kernel_event(self, sim, when: float, event) -> None:
-        """Called by ``Simulator.step`` for every popped heap entry."""
+        """Called by the kernel for every popped heap entry."""
         self._count(2)
         if when < sim.now:
             self.violate(

@@ -9,7 +9,7 @@ from repro.axi import (
     AxiLiteError,
     AxiLiteRegisterFile,
 )
-from repro.dram import DramController, DramDevice
+from repro.dram import BankDramController, DramDevice
 from repro.sim import ClockDomain, Simulator
 
 
@@ -86,7 +86,7 @@ def test_unknown_offset_rejected(regs):
 def _memory_system():
     sim = Simulator()
     device = DramDevice()
-    controller = DramController(sim, device)
+    controller = BankDramController(sim, device)
     interconnect = AxiInterconnect(sim, controller)
     return sim, device, interconnect
 

@@ -161,7 +161,7 @@ def test_lazy_refresh_matches_legacy_accounting():
         yield sim.timeout(3500.0)  # 3 intervals elapsed
         start = sim.now
         yield controller.read(0, 64)
-        # Legacy rule: exactly one tRFC charged, however many intervals.
+        # Lazy rule: exactly one tRFC charged, however many intervals.
         assert sim.now - start == pytest.approx(
             100.0 + timing.miss_ns + controller.device.transfer_ns(64)
         )

@@ -1,8 +1,8 @@
 """Regression tests for DRAM queue-wait accounting.
 
 ``MemoryRequest.submitted_ns`` used to be stamped and never read — the
-time a request spent queued behind other masters was invisible.  Both
-controllers now publish it: the interval from submission to the start
+time a request spent queued behind other masters was invisible.  The
+controller now publishes it: the interval from submission to the start
 of service accumulates into ``queue_wait_ns`` (and the
 ``<name>.queue_wait_ns`` metric plus the per-master ledgers).  A solo
 closed-loop master never waits; two contending masters must.
@@ -10,7 +10,7 @@ closed-loop master never waits; two contending masters must.
 
 import pytest
 
-from repro.dram import BankDramController, DramController, DramDevice
+from repro.dram import BankDramController, DramDevice
 from repro.sim import Simulator
 
 
@@ -24,7 +24,7 @@ def _drive_masters(controller, sim, masters, bursts=8, size=1024):
     sim.run()
 
 
-@pytest.mark.parametrize("make", [DramController, BankDramController])
+@pytest.mark.parametrize("make", [BankDramController])
 def test_solo_master_never_queue_waits(make):
     sim = Simulator()
     controller = make(sim, DramDevice())
@@ -33,7 +33,7 @@ def test_solo_master_never_queue_waits(make):
     assert controller.masters["solo"].wait_ns == 0.0
 
 
-@pytest.mark.parametrize("make", [DramController, BankDramController])
+@pytest.mark.parametrize("make", [BankDramController])
 def test_contended_masters_accumulate_nonzero_queue_wait(make):
     sim = Simulator()
     controller = make(sim, DramDevice())
@@ -48,7 +48,7 @@ def test_contended_masters_accumulate_nonzero_queue_wait(make):
     assert metric["value"] == pytest.approx(controller.queue_wait_ns)
 
 
-@pytest.mark.parametrize("make", [DramController, BankDramController])
+@pytest.mark.parametrize("make", [BankDramController])
 def test_queue_wait_scales_with_contention(make):
     def total_wait(master_count):
         sim = Simulator()

@@ -1,14 +1,17 @@
-"""Pinned kernel schedules of four representative reconfigurations.
+"""Pinned kernel schedules of five representative reconfigurations.
 
 The hot path may get cheaper per event, but it must dispatch the very
 same schedule: the same number of events, the same processes, the same
 heap depth, and bit-identical results and telemetry (every float sum
-included).  Each case runs on a fresh system with no monitor attached,
-so the unmonitored dispatch loop is the one exercised, and pins:
+included).  Four cases run on a fresh system with no monitor attached;
+the fifth attaches an :class:`~repro.verify.InvariantMonitor` and arms a
+chaos fault plan, so the dispatch loop is pinned with and without the
+per-event monitor call.  Each case pins:
 
 * ``events_processed``, ``processes_spawned`` and ``heap_high_water``;
 * the sha256 of the canonical JSON of the result record plus
-  ``system.metrics.to_dict()`` closed at the final timestamp.
+  ``system.metrics.to_dict()`` closed at the final timestamp;
+* for the monitored case, also ``monitor.checks``.
 """
 
 import dataclasses
@@ -18,9 +21,11 @@ import json
 import pytest
 
 from repro.axi import AxiTrafficGenerator
+from repro.chaos import ChaosInjector, build_fault_plan
 from repro.core import PdrSystem, PdrSystemConfig
 from repro.experiments.table1 import WORKLOAD_ASP
 from repro.fabric import Aes128Asp, FirFilterAsp, MatMulAsp
+from repro.verify import InvariantMonitor
 
 
 def _table1_point(freq_mhz):
@@ -102,19 +107,23 @@ GOLDEN = {
 }
 
 
-def _fingerprint(run):
-    system, result = run()
-    assert system.sim.monitor is None
+def _record_digest(system, result):
     record = {
         "result": dataclasses.asdict(result),
         "metrics": system.metrics.to_dict(end_ns=system.sim.now),
     }
     text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _fingerprint(run):
+    system, result = run()
+    assert system.sim.monitor is None
     return (
         system.sim.events_processed,
         system.sim.processes_spawned,
         system.sim.heap_high_water,
-        hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        _record_digest(system, result),
     )
 
 
@@ -122,3 +131,34 @@ def _fingerprint(run):
 def test_schedule_is_pinned(case):
     run, expected = GOLDEN[case]
     assert _fingerprint(run) == expected
+
+
+def test_monitored_chaos_schedule_is_pinned():
+    """A 200 MHz point with the invariant monitor on every kernel event
+    and a seeded plan delivering a DRAM latency spike, a DRAM bit flip
+    and a brownout mid-transfer."""
+    system = PdrSystem()
+    system.set_die_temperature(40.0)
+    monitor = InvariantMonitor().attach(system)
+    injector = ChaosInjector(system, build_fault_plan(1, 700.0, 3))
+    injector.arm()
+    result = system.reconfigure("RP1", WORKLOAD_ASP, 200.0)
+    injector.disarm()
+    monitor.detach()
+    assert injector.injected_by_kind() == {
+        "brownout": 1, "dram_bitflip": 1, "dram_latency": 1,
+    }
+    assert monitor.violations == []
+    assert (
+        system.sim.events_processed,
+        system.sim.processes_spawned,
+        system.sim.heap_high_water,
+        monitor.checks,
+        _record_digest(system, result),
+    ) == (
+        7305,
+        527,
+        7,
+        25997,
+        "94de6053771cb8e9629eaf90fc18ccbb021c30488c24102cebab6242efd87922",
+    )

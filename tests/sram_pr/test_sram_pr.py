@@ -1,8 +1,10 @@
 """Tests for the §VI proposed SRAM-based PR environment."""
 
+import dataclasses
+
 import pytest
 
-from repro.fabric import Aes128Asp, FirFilterAsp
+from repro.fabric import Aes128Asp, FirFilterAsp, MatMulAsp
 from repro.sim import Simulator
 from repro.sram_pr import (
     BitstreamDecompressor,
@@ -208,3 +210,43 @@ def test_random_asp_roundtrips_through_proposed_system(compress):
         result = system.reconfigure("RP1", asp, compress=compress)
         assert result.crc_valid, hex(seed)
         assert system.run_asp("RP1", [1, 2]) == asp.process([1, 2])
+
+
+def test_activation_results_are_pinned():
+    """Preload (DRAM → SRAM) and activation timings of three cycles.
+
+    ``preload_us`` crosses the PS DRAM controller, so this pins the
+    memory path the scheduler's staging reads take.  The kernel event
+    count is not pinned: it belongs to the controller's queueing.
+    """
+    system = SramPrSystem()
+    cycles = [
+        ("RP1", FirFilterAsp([1, 2, 3, 4]), True),
+        ("RP2", Aes128Asp([1, 2, 3, 4]), False),
+        ("RP3", MatMulAsp(2), True),
+    ]
+    results = [
+        dataclasses.asdict(system.reconfigure(region, asp, compress=compress))
+        for region, asp, compress in cycles
+    ]
+
+    def expected(region, preload_us, latency_us, sram_words, compressed):
+        return {
+            "region": region,
+            "preload_us": preload_us,
+            "crc_valid": True,
+            "activation": {
+                "region": region,
+                "latency_us": latency_us,
+                "bitstream_words": 131847,
+                "sram_words": sram_words,
+                "compressed": compressed,
+                "config_ok": True,
+            },
+        }
+
+    assert results == [
+        expected("RP1", 292.81132424242463, 246.34161616161612, 75982, True),
+        expected("RP2", 505.6985161616063, 426.2013712121154, 131847, False),
+        expected("RP3", 294.70546565657713, 247.18962525252184, 76469, True),
+    ]
